@@ -45,9 +45,14 @@ class Kernel {
   la::Matrix cross(const la::Matrix& x, const la::Matrix& z) const;
 
  private:
+  /// k(x, y) for points already known to have dim() coordinates.
+  double eval(const double* x, const double* y) const;
+
   KernelKind kind_;
   std::size_t dim_;
   la::Vector log_hyper_;
+  la::Vector lengthscale_;  // exp(log l_i), decoded once per set_log_hyper
+  double sf2_ = 1.0;        // exp(log s_f^2)
 };
 
 /// Bounds used by hyperparameter optimizers (log space), wide enough for

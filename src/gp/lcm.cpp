@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -43,43 +44,57 @@ std::size_t LcmModel::theta_size() const {
   return options_.num_latent * (dim_ + 2 * num_tasks_) + num_tasks_;
 }
 
-double LcmModel::coreg(const la::Vector& theta, std::size_t q, std::size_t i,
-                       std::size_t j) const {
-  const std::size_t base = q * (dim_ + 2 * num_tasks_);
-  const double ai = theta[base + dim_ + i];
-  const double aj = theta[base + dim_ + j];
-  double v = ai * aj;
-  if (i == j) v += std::exp(theta[base + dim_ + num_tasks_ + i]);
-  return v;
-}
-
-double LcmModel::latent_kernel(const la::Vector& theta, std::size_t q,
-                               std::span<const double> x,
-                               std::span<const double> y) const {
-  const std::size_t base = q * (dim_ + 2 * num_tasks_);
-  double r2 = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double d = (x[i] - y[i]) / std::exp(theta[base + i]);
-    r2 += d * d;
-  }
-  switch (options_.kernel) {
-    case KernelKind::SquaredExponential:
-      return std::exp(-0.5 * r2);
-    case KernelKind::Matern52: {
-      const double r = std::sqrt(r2);
-      const double a = std::sqrt(5.0) * r;
-      return (1.0 + a + 5.0 * r2 / 3.0) * std::exp(-a);
+LcmModel::Unpacked LcmModel::unpack(const la::Vector& theta) const {
+  const std::size_t nq = options_.num_latent, t = num_tasks_;
+  Unpacked u;
+  u.lengthscale.resize(nq * dim_);
+  u.coreg.resize(nq * t * t);
+  u.noise.resize(t);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t base = q * (dim_ + 2 * t);
+    for (std::size_t i = 0; i < dim_; ++i)
+      u.lengthscale[q * dim_ + i] = std::exp(theta[base + i]);
+    // B_q = a a^T + diag(kappa).
+    for (std::size_t i = 0; i < t; ++i) {
+      for (std::size_t j = 0; j < t; ++j) {
+        double v = theta[base + dim_ + i] * theta[base + dim_ + j];
+        if (i == j) v += std::exp(theta[base + dim_ + t + i]);
+        u.coreg[(q * t + i) * t + j] = v;
+      }
     }
   }
-  return 0.0;
+  for (std::size_t i = 0; i < t; ++i)
+    u.noise[i] = std::max(std::exp(theta[nq * (dim_ + 2 * t) + i]),
+                          options_.min_noise);
+  return u;
 }
 
-double LcmModel::cov_entry(const la::Vector& theta, std::size_t task_i,
+double LcmModel::cov_entry(const Unpacked& u, std::size_t task_i,
                            std::span<const double> xi, std::size_t task_j,
                            std::span<const double> xj) const {
   double v = 0.0;
-  for (std::size_t q = 0; q < options_.num_latent; ++q)
-    v += coreg(theta, q, task_i, task_j) * latent_kernel(theta, q, xi, xj);
+  for (std::size_t q = 0; q < options_.num_latent; ++q) {
+    // Unit-variance latent kernel k_q(xi, xj).
+    const double* l = u.lengthscale.data() + q * dim_;
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const double d = (xi[i] - xj[i]) / l[i];
+      r2 += d * d;
+    }
+    double k = 0.0;
+    switch (options_.kernel) {
+      case KernelKind::SquaredExponential:
+        k = std::exp(-0.5 * r2);
+        break;
+      case KernelKind::Matern52: {
+        const double r = std::sqrt(r2);
+        const double a = std::sqrt(5.0) * r;
+        k = (1.0 + a + 5.0 * r2 / 3.0) * std::exp(-a);
+        break;
+      }
+    }
+    v += u.coreg[(q * num_tasks_ + task_i) * num_tasks_ + task_j] * k;
+  }
   return v;
 }
 
@@ -106,7 +121,7 @@ double LcmModel::neg_log_likelihood(const la::Vector& theta) const {
   for (std::size_t t = 0; t < num_tasks_; ++t)
     pen(theta[noise_base + t], b.log_noise_min, b.log_noise_max);
 
-  la::Matrix km = stacked_covariance(theta);
+  la::Matrix km = stacked_covariance(unpack(theta));
   try {
     const la::Cholesky chol(std::move(km));
     const la::Vector alpha = chol.solve(y_std_);
@@ -214,22 +229,18 @@ void LcmModel::fit(std::vector<TaskData> tasks, rng::Rng& rng) {
   compute_state();
 }
 
-la::Matrix LcmModel::stacked_covariance(const la::Vector& theta) const {
+la::Matrix LcmModel::stacked_covariance(const Unpacked& u) const {
   const std::size_t n = x_.rows();
-  const std::size_t noise_base =
-      options_.num_latent * (dim_ + 2 * num_tasks_);
   la::Matrix km(n, n);
   // Row block i fills the diagonal entry plus the upper row i and its
   // mirrored column — disjoint writes per i, so the blocks parallelize
   // without changing a single bit of the matrix.
   parallel::parallel_for(options_.pool.get(), n, [&](std::size_t i) {
-    km(i, i) = cov_entry(theta, task_of_[i], x_.row(i), task_of_[i],
-                         x_.row(i)) +
-               std::max(std::exp(theta[noise_base + task_of_[i]]),
-                        options_.min_noise);
+    km(i, i) = cov_entry(u, task_of_[i], x_.row(i), task_of_[i], x_.row(i)) +
+               u.noise[task_of_[i]];
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double v =
-          cov_entry(theta, task_of_[i], x_.row(i), task_of_[j], x_.row(j));
+      const double v = cov_entry(u, task_of_[i], x_.row(i), task_of_[j],
+                                 x_.row(j));
       km(i, j) = v;
       km(j, i) = v;
     }
@@ -238,7 +249,8 @@ la::Matrix LcmModel::stacked_covariance(const la::Vector& theta) const {
 }
 
 void LcmModel::compute_state() {
-  chol_.emplace(stacked_covariance(theta_));
+  hyper_ = unpack(theta_);
+  chol_.emplace(stacked_covariance(hyper_));
   alpha_ = chol_->solve(y_std_);
 }
 
@@ -249,9 +261,11 @@ std::size_t LcmModel::num_samples(std::size_t task) const {
 
 double LcmModel::task_covariance(std::size_t i, std::size_t j) const {
   if (!fitted_) throw std::logic_error("LCM not fitted");
+  if (i >= num_tasks_ || j >= num_tasks_)
+    throw std::out_of_range("LcmModel::task_covariance");
   double v = 0.0;
   for (std::size_t q = 0; q < options_.num_latent; ++q)
-    v += coreg(theta_, q, i, j);
+    v += hyper_.coreg[(q * num_tasks_ + i) * num_tasks_ + j];
   return v;
 }
 
@@ -265,10 +279,10 @@ Prediction LcmModel::predict(std::size_t task, const la::Vector& x) const {
   const std::span<const double> xs(x.data(), x.size());
   la::Vector kstar(n);
   for (std::size_t i = 0; i < n; ++i)
-    kstar[i] = cov_entry(theta_, task, xs, task_of_[i], x_.row(i));
+    kstar[i] = cov_entry(hyper_, task, xs, task_of_[i], x_.row(i));
   const double mean_std = la::dot(kstar, alpha_);
   const la::Vector v = chol_->solve_lower(kstar);
-  const double kss = cov_entry(theta_, task, xs, task, xs);
+  const double kss = cov_entry(hyper_, task, xs, task, xs);
   const double var_std = std::max(kss - la::dot(v, v), 0.0);
 
   Prediction p;

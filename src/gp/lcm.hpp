@@ -83,24 +83,24 @@ class LcmModel {
                                 std::size_t task);
 
  private:
-  struct Hyper {
-    // Layout per latent q: [log l_1..log l_d, a_1..a_T, log kappa_1..log
-    // kappa_T], then [log noise_1..log noise_T].
-    la::Vector theta;
+  /// theta decoded once per likelihood evaluation: the per-entry loops read
+  /// these tables instead of re-evaluating exp() on theta.
+  struct Unpacked {
+    la::Vector lengthscale;  // [q * dim + i] = exp(log l_i) of latent q
+    la::Vector coreg;        // [(q * T + i) * T + j] = B_q[i, j]
+    la::Vector noise;        // [t] = max(exp(log noise_t), min_noise)
   };
 
+  // theta layout per latent q: [log l_1..log l_d, a_1..a_T, log kappa_1..log
+  // kappa_T], then [log noise_1..log noise_T].
   std::size_t theta_size() const;
-  double coreg(const la::Vector& theta, std::size_t q, std::size_t i,
-               std::size_t j) const;
-  double latent_kernel(const la::Vector& theta, std::size_t q,
-                       std::span<const double> x,
-                       std::span<const double> y) const;
-  double cov_entry(const la::Vector& theta, std::size_t task_i,
+  Unpacked unpack(const la::Vector& theta) const;
+  double cov_entry(const Unpacked& u, std::size_t task_i,
                    std::span<const double> xi, std::size_t task_j,
                    std::span<const double> xj) const;
   double neg_log_likelihood(const la::Vector& theta) const;
   /// K + noise over the stacked samples; rows built in parallel.
-  la::Matrix stacked_covariance(const la::Vector& theta) const;
+  la::Matrix stacked_covariance(const Unpacked& u) const;
   void compute_state();
 
   std::size_t dim_;
@@ -109,6 +109,7 @@ class LcmModel {
 
   bool fitted_ = false;
   la::Vector theta_;
+  Unpacked hyper_;  // unpack(theta_), read by predict and task_covariance
 
   // Stacked (subsampled, standardized) training data.
   la::Matrix x_;                    // all points, row stacked

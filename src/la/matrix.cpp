@@ -137,15 +137,38 @@ bool Cholesky::try_factor(const Matrix& a, double jitter) {
   const std::size_t n = a.rows();
   l_ = Matrix(n, n);
   for (std::size_t j = 0; j < n; ++j) {
+    const auto lj = l_.row(j);
     double d = a(j, j) + jitter;
-    for (std::size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
+    for (std::size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
     if (!(d > 0.0) || !std::isfinite(d)) return false;
     const double ljj = std::sqrt(d);
-    l_(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
+    lj[j] = ljj;
+    // Rows below the pivot go four per sweep over k: four independent
+    // subtraction chains instead of one. Each row still subtracts in
+    // sequential k order, so every entry is bitwise the one-row result.
+    std::size_t i = j + 1;
+    for (; i + 4 <= n; i += 4) {
+      const double* l0 = l_.row(i).data();
+      const double* l1 = l_.row(i + 1).data();
+      const double* l2 = l_.row(i + 2).data();
+      const double* l3 = l_.row(i + 3).data();
+      double s0 = a(i, j), s1 = a(i + 1, j), s2 = a(i + 2, j),
+             s3 = a(i + 3, j);
+      for (std::size_t k = 0; k < j; ++k) {
+        const double ljk = lj[k];
+        s0 -= l0[k] * ljk;
+        s1 -= l1[k] * ljk;
+        s2 -= l2[k] * ljk;
+        s3 -= l3[k] * ljk;
+      }
+      l_(i, j) = s0 / ljj;
+      l_(i + 1, j) = s1 / ljj;
+      l_(i + 2, j) = s2 / ljj;
+      l_(i + 3, j) = s3 / ljj;
+    }
+    for (; i < n; ++i) {
       double s = a(i, j);
       const auto li = l_.row(i);
-      const auto lj = l_.row(j);
       for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
       l_(i, j) = s / ljj;
     }

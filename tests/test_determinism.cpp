@@ -12,6 +12,7 @@
 #include "apps/synthetic.hpp"
 #include "core/tuner.hpp"
 #include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "opt/optimize.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
@@ -151,6 +152,55 @@ TEST(DeterminismTest, GaussianProcessFitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(h[i], ref_hyper[i]) << "pool size " << n << " hyper " << i;
     EXPECT_EQ(pred.mean, ref_pred.mean) << "pool size " << n;
     EXPECT_EQ(pred.variance, ref_pred.variance) << "pool size " << n;
+  }
+}
+
+TEST(DeterminismTest, LcmFitIdenticalAcrossPoolSizes) {
+  // Three tasks with 18, 7 and 3 samples; the fit restarts and the
+  // stacked-covariance row blocks run on the pool and share the unpacked
+  // hyperparameter tables.
+  rng::Rng data_rng(101);
+  const std::size_t kDim = 2;
+  const std::size_t counts[] = {18, 7, 3};
+  std::vector<gp::TaskData> tasks;
+  for (std::size_t t = 0; t < 3; ++t) {
+    std::vector<la::Vector> xs;
+    la::Vector ys;
+    for (std::size_t i = 0; i < counts[t]; ++i) {
+      la::Vector p = {data_rng.uniform(), data_rng.uniform()};
+      ys.push_back(rastrigin_like(p) + 0.2 * static_cast<double>(t) * p[0] +
+                   0.01 * data_rng.normal());
+      xs.push_back(std::move(p));
+    }
+    tasks.push_back(gp::TaskData{la::Matrix::from_rows(xs), ys});
+  }
+
+  std::vector<double> reference;
+  const la::Vector query(kDim, 0.4);
+  for (std::size_t n : kPoolSizes) {
+    gp::LcmOptions o;
+    o.num_latent = 2;
+    o.fit_restarts = 3;  // enough restarts that parallel order could matter
+    o.fit_evaluations = 80;
+    o.pool = make_pool(n);
+    gp::LcmModel model(kDim, 3, o);
+    rng::Rng fit_rng(6);
+    model.fit(tasks, fit_rng);
+    std::vector<double> got;
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < 3; ++j)
+        got.push_back(model.task_covariance(i, j));
+      const gp::Prediction pred = model.predict(i, query);
+      got.push_back(pred.mean);
+      got.push_back(pred.variance);
+    }
+    if (reference.empty()) {
+      reference = got;
+      continue;
+    }
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], reference[i]) << "pool size " << n << " value " << i;
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ios>
+#include <string>
+#include <vector>
 
 #include "gp/gaussian_process.hpp"
 #include "gp/kernel.hpp"
@@ -329,6 +332,7 @@ TEST_F(LcmTest, RejectsBadInputs) {
   EXPECT_THROW(model.fit(empty_tasks, rng), std::invalid_argument);
   model.fit(make_tasks(10, 5), rng);
   EXPECT_THROW(model.predict(5, {0.5}), std::out_of_range);
+  EXPECT_THROW(model.task_covariance(0, 2), std::out_of_range);
   EXPECT_THROW(model.predict(0, {0.5, 0.5}), std::invalid_argument);
 }
 
@@ -342,6 +346,122 @@ TEST_F(LcmTest, TaskViewMatchesDirectPredict) {
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
   EXPECT_DOUBLE_EQ(a.variance, b.variance);
   EXPECT_EQ(view->dim(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pins. The literals below were recorded from the per-entry kernel
+// and covariance code and the one-row-at-a-time Cholesky; any change to the
+// order or kind of floating-point operations in kernel.cpp, lcm.cpp or the
+// Cholesky shows up here as an exact mismatch. A failure prints the new
+// value as a hexfloat.
+
+void expect_bits(double actual, double pinned, const std::string& what) {
+  EXPECT_EQ(actual, pinned) << what << " = " << std::hexfloat << actual;
+}
+
+/// Three 2-d tasks with 14, 6 and 0 samples from a fixed stream.
+std::vector<TaskData> pin_tasks() {
+  rng::Rng rng(71);
+  const std::size_t counts[] = {14, 6, 0};
+  std::vector<TaskData> tasks;
+  for (std::size_t t = 0; t < 3; ++t) {
+    std::vector<la::Vector> xs;
+    la::Vector ys;
+    for (std::size_t i = 0; i < counts[t]; ++i) {
+      const double a = rng.uniform(), b = rng.uniform();
+      xs.push_back({a, b});
+      ys.push_back(std::sin(3.0 * a + 0.4 * static_cast<double>(t)) +
+                   (1.0 + 0.3 * static_cast<double>(t)) * b * b +
+                   0.01 * rng.normal());
+    }
+    tasks.push_back(
+        TaskData{xs.empty() ? la::Matrix() : la::Matrix::from_rows(xs), ys});
+  }
+  return tasks;
+}
+
+struct LcmPins {
+  KernelKind kind;
+  double task_cov[6];  // (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+  double mean[3], variance[3];
+};
+
+TEST(BitwisePins, LcmPredictAndTaskCovariance) {
+  const LcmPins pins[] = {
+      {KernelKind::SquaredExponential,
+       {0x1.cf1a5aa77131cp-1, 0x1.6604b963bca9p-1, 0x1.540faed012016p-2,
+        0x1.63bf6c7743072p+0, 0x1.1f880436cd1eep-1, 0x1.77d982f8b568cp+0},
+       {0x1.2ea6630391df7p+0, 0x1.74454ffcb98b4p+0, 0x1.f99d3a6204387p-2},
+       {0x1.68128514b9de7p-9, 0x1.b4e2e5022cb7ep-8, 0x1.3d7fad00b8eb2p+0}},
+      {KernelKind::Matern52,
+       {0x1.bd1d24b39fd82p-1, 0x1.4e021c86e3d8ep-1, 0x1.5e722e7cc77dcp-1,
+        0x1.2f1591887c101p+0, 0x1.a82bca0832281p-1, 0x1.68b353a274517p+0},
+       {0x1.31b1986f648cep+0, 0x1.6e1ac3fa4562ep+0, 0x1.e7085ce00293cp-1},
+       {0x1.f8af531f7c43cp-6, 0x1.d9dfa9ccb7aefp-6, 0x1.8650474c4b465p-1}},
+  };
+  for (const auto& pin : pins) {
+    LcmOptions o;
+    o.num_latent = 2;
+    o.kernel = pin.kind;
+    o.fit_evaluations = 80;
+    LcmModel model(2, 3, o);
+    rng::Rng rng(72);
+    model.fit(pin_tasks(), rng);
+    const std::string kind =
+        pin.kind == KernelKind::Matern52 ? "matern52 " : "sqexp ";
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < 3; ++i)
+      for (std::size_t j = i; j < 3; ++j, ++c)
+        expect_bits(model.task_covariance(i, j), pin.task_cov[c],
+                    kind + "task_covariance(" + std::to_string(i) + "," +
+                        std::to_string(j) + ")");
+    for (std::size_t t = 0; t < 3; ++t) {
+      const Prediction p = model.predict(t, {0.35, 0.6});
+      expect_bits(p.mean, pin.mean[t], kind + "mean " + std::to_string(t));
+      expect_bits(p.variance, pin.variance[t],
+                  kind + "variance " + std::to_string(t));
+    }
+  }
+}
+
+struct GpPins {
+  KernelKind kind;
+  double log_hyper[4];
+  double mean, variance;
+};
+
+TEST(BitwisePins, GaussianProcessHyperAndPredict) {
+  const GpPins pins[] = {
+      {KernelKind::SquaredExponential,
+       {-0x1.4785875f1da07p-2, 0x1.49bf20b1d7e54p-2, 0x1.327ce26693d92p+1,
+        -0x1.d29af09f27458p+2},
+       0x1.33d428335bd72p+0,
+       0x1.000fff767f7p-11},
+      {KernelKind::Matern52,
+       {0x1.ce1242e4529d7p-2, 0x1.0741e5051b178p+0, 0x1.b5c6f6c644c5ap+1,
+        -0x1.c12384a1e1fadp+2},
+       0x1.316ab6601e26bp+0,
+       0x1.e3afbf429c914p-10},
+  };
+  const TaskData data = pin_tasks()[0];
+  for (const auto& pin : pins) {
+    GpOptions o;
+    o.kernel = pin.kind;
+    o.fit_evaluations = 80;
+    GaussianProcess gp(2, o);
+    rng::Rng rng(73);
+    gp.fit(data.x, data.y, rng);
+    const std::string kind =
+        pin.kind == KernelKind::Matern52 ? "matern52 " : "sqexp ";
+    const la::Vector h = gp.log_hyper();
+    ASSERT_EQ(h.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+      expect_bits(h[i], pin.log_hyper[i],
+                  kind + "log_hyper " + std::to_string(i));
+    const Prediction p = gp.predict({0.35, 0.6});
+    expect_bits(p.mean, pin.mean, kind + "mean");
+    expect_bits(p.variance, pin.variance, kind + "variance");
+  }
 }
 
 }  // namespace

@@ -166,6 +166,72 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(Cholesky(Matrix(2, 3)), std::invalid_argument);
 }
 
+/// Reference factor: one row at a time, each entry one sequential k loop,
+/// with the same jitter schedule as Cholesky. Returns false when every
+/// attempt fails.
+bool naive_cholesky(const Matrix& a, Matrix& l, double& jitter_added) {
+  const std::size_t n = a.rows();
+  double mean_diag = 0.0;
+  for (std::size_t i = 0; i < n; ++i) mean_diag += a(i, i);
+  mean_diag /= static_cast<double>(n);
+  double jitter = 0.0;
+  for (int attempt = -1; attempt < 8; ++attempt) {
+    if (attempt == 0) jitter = 1e-10 * mean_diag;
+    if (attempt > 0) jitter *= 10.0;
+    l = Matrix(n, n);
+    bool ok = true;
+    for (std::size_t j = 0; j < n && ok; ++j) {
+      double d = a(j, j) + jitter;
+      for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+      if (!(d > 0.0) || !std::isfinite(d)) {
+        ok = false;
+        break;
+      }
+      l(j, j) = std::sqrt(d);
+      for (std::size_t i = j + 1; i < n; ++i) {
+        double s = a(i, j);
+        for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+        l(i, j) = s / l(j, j);
+      }
+    }
+    if (ok) {
+      jitter_added = jitter;
+      return true;
+    }
+  }
+  return false;
+}
+
+void expect_matches_naive(const Matrix& a) {
+  Matrix ref;
+  double ref_jitter = -1.0;
+  ASSERT_TRUE(naive_cholesky(a, ref, ref_jitter));
+  const Cholesky chol(a);
+  EXPECT_EQ(chol.jitter_added(), ref_jitter);
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(chol.lower()(i, j), ref(i, j))
+          << "n " << n << " entry (" << i << "," << j << ")";
+}
+
+TEST(Cholesky, BitwiseEqualToRowAtATimeFactor) {
+  // n = 1..13 covers every remainder of the four-row sweep twice over.
+  rng::Rng rng(5);
+  for (std::size_t n = 1; n <= 13; ++n) expect_matches_naive(random_spd(n, rng));
+}
+
+TEST(Cholesky, BitwiseEqualToRowAtATimeFactorWithJitter) {
+  // Rank 2 in order 7: the unjittered attempt fails, so the retry path and
+  // its jitter must match too.
+  rng::Rng rng(6);
+  Matrix b(7, 2);
+  for (auto& v : b.data()) v = rng.normal();
+  const Matrix a = matmul(b, b.transposed());
+  expect_matches_naive(a);
+  EXPECT_GT(Cholesky(a).jitter_added(), 0.0);
+}
+
 TEST(LeastSquares, ExactOnSquareSystem) {
   const Matrix a = Matrix::from_rows({{2, 0}, {0, 4}});
   const Vector x = least_squares(a, {2, 8});
