@@ -26,10 +26,13 @@ la::Vector GaussianProcess::log_hyper() const {
 void GaussianProcess::set_log_hyper(const la::Vector& h) {
   if (h.size() != kernel_.num_hyper() + 1)
     throw std::invalid_argument("GaussianProcess::set_log_hyper: bad size");
+  if (fitted_) {
+    install(x_, y_raw_, h);
+    return;
+  }
   la::Vector kh(h.begin(), h.end() - 1);
   kernel_.set_log_hyper(std::move(kh));
   log_noise_ = h.back();
-  if (fitted_) compute_state();
 }
 
 double GaussianProcess::noise_variance() const {
@@ -73,89 +76,96 @@ double GaussianProcess::neg_log_marginal_likelihood(
   }
 }
 
+namespace {
+
+struct Standardized {
+  la::Vector y;
+  double mean = 0.0, scale = 1.0;
+};
+
+Standardized standardize(const la::Vector& y) {
+  Standardized s;
+  const auto n = static_cast<double>(y.size());
+  for (double v : y) s.mean += v;
+  s.mean /= n;
+  double var = 0.0;
+  for (double v : y) var += (v - s.mean) * (v - s.mean);
+  var /= n;
+  s.scale = var > 1e-24 ? std::sqrt(var) : 1.0;
+  s.y.resize(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) s.y[i] = (y[i] - s.mean) / s.scale;
+  return s;
+}
+
+}  // namespace
+
 void GaussianProcess::fit(la::Matrix x, la::Vector y, rng::Rng& rng) {
   if (x.rows() == 0 || x.rows() != y.size())
     throw std::invalid_argument("GaussianProcess::fit: bad data shape");
   if (x.cols() != kernel_.dim())
     throw std::invalid_argument("GaussianProcess::fit: dim mismatch");
+  for (double v : x.data())
+    if (!std::isfinite(v))
+      throw std::invalid_argument("GaussianProcess::fit: non-finite input");
   for (double v : y)
     if (!std::isfinite(v))
       throw std::invalid_argument(
           "GaussianProcess::fit: non-finite output (filter failures first)");
 
-  x_ = std::move(x);
-  y_raw_ = std::move(y);
-
-  // Standardize outputs.
-  const auto n = static_cast<double>(y_raw_.size());
-  y_mean_ = 0.0;
-  for (double v : y_raw_) y_mean_ += v;
-  y_mean_ /= n;
-  double var = 0.0;
-  for (double v : y_raw_) var += (v - y_mean_) * (v - y_mean_);
-  var /= n;
-  y_scale_ = var > 1e-24 ? std::sqrt(var) : 1.0;
-  y_std_.resize(y_raw_.size());
-  for (std::size_t i = 0; i < y_raw_.size(); ++i)
-    y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
-
   // Hyperparameter optimization (skip for a single sample — the marginal
   // likelihood is then uninformative about lengthscales).
-  if (x_.rows() >= 2) {
-    const auto objective = [&](const la::Vector& h) {
-      return neg_log_marginal_likelihood(h, x_, y_std_);
+  la::Vector h = log_hyper();  // warm start from incumbent hypers
+  if (x.rows() >= 2) {
+    const la::Vector y_std = standardize(y).y;
+    const auto objective = [&](const la::Vector& hh) {
+      return neg_log_marginal_likelihood(hh, x, y_std);
     };
     std::vector<la::Vector> starts;
-    starts.push_back(log_hyper());  // warm start from incumbent hypers
+    starts.push_back(h);
     rng::Rng sub = rng.split("gp-fit");
     for (int r = 0; r < options_.fit_restarts; ++r) {
-      la::Vector h(kernel_.num_hyper() + 1);
+      la::Vector hr(kernel_.num_hyper() + 1);
       const auto& b = options_.bounds;
       for (std::size_t i = 0; i < kernel_.dim(); ++i)
-        h[i] = sub.uniform(std::log(0.05), std::log(2.0));
-      h[kernel_.dim()] = sub.uniform(-1.0, 1.0);       // log signal var
-      h[kernel_.dim() + 1] = sub.uniform(b.log_noise_min / 2.0, -2.0);
-      starts.push_back(std::move(h));
+        hr[i] = sub.uniform(std::log(0.05), std::log(2.0));
+      hr[kernel_.dim()] = sub.uniform(-1.0, 1.0);       // log signal var
+      hr[kernel_.dim() + 1] = sub.uniform(b.log_noise_min / 2.0, -2.0);
+      starts.push_back(std::move(hr));
     }
     opt::NelderMeadOptions nm;
     nm.max_evaluations = options_.fit_evaluations;
     nm.initial_step = 0.5;
-    nm.pool = options_.pool;  // objective is const over (x_, y_std_)
-    const opt::Result best = opt::multistart_nelder_mead(objective, starts, nm);
-    la::Vector kh(best.x.begin(), best.x.end() - 1);
-    kernel_.set_log_hyper(std::move(kh));
-    log_noise_ = best.x.back();
+    nm.pool = options_.pool;  // objective is const over (x, y_std)
+    h = opt::multistart_nelder_mead(objective, starts, nm).x;
   }
-
-  fitted_ = true;
-  compute_state();
+  install(std::move(x), std::move(y), h);
 }
 
 void GaussianProcess::refit_state(la::Matrix x, la::Vector y) {
   if (x.rows() == 0 || x.rows() != y.size())
     throw std::invalid_argument("GaussianProcess::refit_state: bad shape");
-  x_ = std::move(x);
-  y_raw_ = std::move(y);
-  const auto n = static_cast<double>(y_raw_.size());
-  y_mean_ = 0.0;
-  for (double v : y_raw_) y_mean_ += v;
-  y_mean_ /= n;
-  double var = 0.0;
-  for (double v : y_raw_) var += (v - y_mean_) * (v - y_mean_);
-  var /= n;
-  y_scale_ = var > 1e-24 ? std::sqrt(var) : 1.0;
-  y_std_.resize(y_raw_.size());
-  for (std::size_t i = 0; i < y_raw_.size(); ++i)
-    y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
-  fitted_ = true;
-  compute_state();
+  install(std::move(x), std::move(y), log_hyper());
 }
 
-void GaussianProcess::compute_state() {
-  la::Matrix km = kernel_.gram(x_);
-  km.add_diagonal(noise_variance());
-  chol_.emplace(std::move(km));
-  alpha_ = chol_->solve(y_std_);
+void GaussianProcess::install(la::Matrix x, la::Vector y,
+                              const la::Vector& log_hyper) {
+  Standardized s = standardize(y);
+  Kernel kernel = kernel_;
+  kernel.set_log_hyper(la::Vector(log_hyper.begin(), log_hyper.end() - 1));
+  la::Matrix km = kernel.gram(x);
+  km.add_diagonal(std::max(std::exp(log_hyper.back()), options_.min_noise));
+  la::Cholesky chol(std::move(km));
+  la::Vector alpha = chol.solve(s.y);
+  kernel_ = std::move(kernel);
+  log_noise_ = log_hyper.back();
+  x_ = std::move(x);
+  y_raw_ = std::move(y);
+  y_std_ = std::move(s.y);
+  y_mean_ = s.mean;
+  y_scale_ = s.scale;
+  chol_.emplace(std::move(chol));
+  alpha_ = std::move(alpha);
+  fitted_ = true;
 }
 
 double GaussianProcess::log_marginal_likelihood() const {

@@ -47,7 +47,9 @@ class GaussianProcess final : public Surrogate {
 
   /// Fits hyperparameters to (X, y) and precomputes the predictive state.
   /// X rows are encoded points; y are raw outputs. Requires at least one
-  /// sample. Non-finite outputs must be filtered out by the caller.
+  /// sample. Non-finite outputs must be filtered out by the caller: non-finite
+  /// inputs or outputs throw std::invalid_argument. On any throw the model
+  /// keeps its previous fit.
   void fit(la::Matrix x, la::Vector y, rng::Rng& rng);
 
   /// Refits the predictive state for the current hyperparameters with new
@@ -79,7 +81,9 @@ class GaussianProcess final : public Surrogate {
   double neg_log_marginal_likelihood(const la::Vector& log_hyper,
                                      const la::Matrix& x,
                                      const la::Vector& y_std) const;
-  void compute_state();
+  /// Factors K at log_hyper over (x, y) and only then replaces the model's
+  /// data, hyperparameters and predictive state.
+  void install(la::Matrix x, la::Vector y, const la::Vector& log_hyper);
 
   GpOptions options_;
   Kernel kernel_;

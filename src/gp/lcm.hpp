@@ -41,18 +41,21 @@ struct LcmOptions {
   /// paper's experiments; cost grows linearly in Q.
   std::size_t num_latent = 1;
   KernelKind kernel = KernelKind::Matern52;
+  /// Jittered starts on top of the warm start and the default start.
   int fit_restarts = 1;
-  int fit_evaluations = 220;
+  /// L-BFGS budget per start: likelihood evaluations, each with its
+  /// analytic gradient.
+  int fit_evaluations = 30;
   /// Cap on samples used per task. LCM likelihood evaluation is
   /// O((sum_t n_t)^3); large crowd-sourced source datasets are randomly
   /// subsampled to this many points (see DESIGN.md ablation).
   std::size_t max_samples_per_task = 120;
   double min_noise = 1e-8;
   HyperBounds bounds;
-  /// Fit restarts and the stacked-covariance row blocks run concurrently on
-  /// this pool (null = serial). Results are bitwise identical for any pool
-  /// size: each row block writes disjoint entries, and per-task subsampling
-  /// already draws from index-keyed RNG streams.
+  /// Fit starts run concurrently on this pool (null = serial). Results are
+  /// bitwise identical for any pool size: each start is a deterministic
+  /// serial run, the winner is reduced in start order, and per-task
+  /// subsampling draws from index-keyed RNG streams.
   std::shared_ptr<parallel::ThreadPool> pool;
 };
 
@@ -62,7 +65,9 @@ class LcmModel {
 
   /// Fits hyperparameters and predictive state to the stacked task data.
   /// Tasks with zero samples are allowed (e.g. the target task before its
-  /// first evaluation) as long as at least one task has data.
+  /// first evaluation) as long as at least one task has data. Throws
+  /// std::invalid_argument on bad shapes or non-finite inputs; on any throw
+  /// the model keeps its previous fit.
   void fit(std::vector<TaskData> tasks, rng::Rng& rng);
 
   /// Predictive distribution for `task` at encoded point x (original output
@@ -78,6 +83,15 @@ class LcmModel {
   /// hyperparameters (standardized units) — exposed for tests/diagnostics.
   double task_covariance(std::size_t i, std::size_t j) const;
 
+  /// Number of hyperparameters. Layout per latent q: [log l_1..log l_d,
+  /// a_1..a_T, log kappa_1..log kappa_T], then [log noise_1..log noise_T].
+  std::size_t num_hyper() const;
+
+  /// Negative log marginal likelihood of the fitted (stacked, standardized)
+  /// data at hyperparameters theta, plus the out-of-bounds penalty; the
+  /// gradient is written to `grad`. Exposed for tests and diagnostics.
+  double neg_log_likelihood(const la::Vector& theta, la::Vector& grad) const;
+
   /// A Surrogate view of one task, sharing this model.
   static SurrogatePtr task_view(std::shared_ptr<const LcmModel> model,
                                 std::size_t task);
@@ -90,18 +104,30 @@ class LcmModel {
     la::Vector coreg;        // [(q * T + i) * T + j] = B_q[i, j]
     la::Vector noise;        // [t] = max(exp(log noise_t), min_noise)
   };
+  /// Subsampled, standardized training data, rows stacked task by task.
+  struct Stacked {
+    la::Matrix x;
+    std::vector<std::size_t> task_of;  // task index per stacked row
+    la::Vector y_std;
+    std::vector<double> y_mean, y_scale;  // per task
+    std::vector<std::size_t> n_per_task;
+  };
+  struct Workspace;
 
-  // theta layout per latent q: [log l_1..log l_d, a_1..a_T, log kappa_1..log
-  // kappa_T], then [log noise_1..log noise_T].
-  std::size_t theta_size() const;
   Unpacked unpack(const la::Vector& theta) const;
   double cov_entry(const Unpacked& u, std::size_t task_i,
                    std::span<const double> xi, std::size_t task_j,
                    std::span<const double> xj) const;
-  double neg_log_likelihood(const la::Vector& theta) const;
-  /// K + noise over the stacked samples; rows built in parallel.
-  la::Matrix stacked_covariance(const Unpacked& u) const;
-  void compute_state();
+  /// Validates every task, then subsamples, standardizes and stacks them.
+  Stacked stack(const std::vector<TaskData>& tasks, rng::Rng& rng) const;
+  /// K + noise over the stacked samples, one pass over the pairs i >= j;
+  /// with a workspace, each pair's latent kernels are cached there too.
+  la::Matrix stacked_covariance(const Stacked& data, const Unpacked& u,
+                                Workspace* ws) const;
+  double nll_and_gradient(const Stacked& data, const la::Vector& theta,
+                          la::Vector& grad, Workspace& ws) const;
+  /// Factors K at theta and only then replaces the model's state.
+  void commit(Stacked data, la::Vector theta);
 
   std::size_t dim_;
   std::size_t num_tasks_;
@@ -110,13 +136,7 @@ class LcmModel {
   bool fitted_ = false;
   la::Vector theta_;
   Unpacked hyper_;  // unpack(theta_), read by predict and task_covariance
-
-  // Stacked (subsampled, standardized) training data.
-  la::Matrix x_;                    // all points, row stacked
-  std::vector<std::size_t> task_of_;  // task index per stacked row
-  la::Vector y_std_;
-  std::vector<double> y_mean_, y_scale_;  // per task
-  std::vector<std::size_t> n_per_task_;
+  Stacked data_;
   std::optional<la::Cholesky> chol_;
   la::Vector alpha_;
 };

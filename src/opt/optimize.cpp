@@ -127,16 +127,20 @@ Result nelder_mead(const ObjectiveFn& f, const la::Vector& start,
 Result multistart_nelder_mead(const ObjectiveFn& f,
                               const std::vector<la::Vector>& starts,
                               const NelderMeadOptions& options) {
-  if (starts.empty())
-    throw std::invalid_argument("multistart_nelder_mead: no starts");
-  // Each restart is an independent, deterministic NM run; they may execute
+  return multistart(options.pool.get(), starts.size(), [&](std::size_t i) {
+    return nelder_mead(f, starts[i], options);
+  });
+}
+
+Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
+                  const std::function<Result(std::size_t)>& run) {
+  if (num_starts == 0) throw std::invalid_argument("multistart: no starts");
+  // Each run is independent and deterministic; they may execute
   // concurrently in any order.
-  std::vector<Result> runs = parallel::parallel_map(
-      options.pool, starts.size(),
-      [&](std::size_t i) { return nelder_mead(f, starts[i], options); });
+  std::vector<Result> runs = parallel::parallel_map(pool, num_starts, run);
   // Reduce in fixed index order, breaking value ties toward the lowest
   // start index: the winner is a function of the runs alone, not of which
-  // restart happened to finish (or be scanned) last.
+  // run happened to finish (or be scanned) last.
   Result best;
   std::size_t best_index = runs.size();
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -148,6 +152,106 @@ Result multistart_nelder_mead(const ObjectiveFn& f,
   }
   best.x = std::move(runs[best_index].x);
   return best;
+}
+
+Result lbfgs(const GradientFn& f, const la::Vector& start,
+             int max_evaluations) {
+  const std::size_t d = start.size();
+  if (d == 0) throw std::invalid_argument("lbfgs: empty start point");
+  constexpr std::size_t kHistory = 6;
+  constexpr double kArmijo = 1e-4;
+  constexpr double kGradientTolerance = 1e-5;
+  constexpr double kRelativeTolerance = 1e-10;
+  constexpr double kFailed = std::numeric_limits<double>::max();
+
+  Result result;
+  const auto eval = [&](const la::Vector& x, la::Vector& grad) {
+    ++result.evaluations;
+    const double v = f(x, grad);
+    if (!std::isfinite(v)) return kFailed;
+    for (double gi : grad)
+      if (!std::isfinite(gi)) return kFailed;
+    return v;
+  };
+  la::Vector g(d), g_next(d), x_next(d), dir(d);
+  result.x = start;
+  result.value = eval(result.x, g);
+  if (result.value == kFailed) return result;  // no gradient to follow
+
+  // Curvature pairs in a ring; `newest` is the most recent slot.
+  std::array<la::Vector, kHistory> s, y;
+  std::array<double, kHistory> rho{}, coef{};
+  std::size_t stored = 0, newest = 0;
+  const auto slot = [&](std::size_t age) {
+    return (newest + kHistory - age) % kHistory;
+  };
+
+  while (result.evaluations < max_evaluations) {
+    double gmax = 0.0;
+    for (double gi : g) gmax = std::max(gmax, std::abs(gi));
+    if (gmax < kGradientTolerance) break;
+
+    // Two-loop recursion: dir = -H g, newest pair first, then oldest first.
+    dir = g;
+    for (std::size_t age = 0; age < stored; ++age) {
+      const std::size_t k = slot(age);
+      coef[k] = rho[k] * la::dot(s[k], dir);
+      la::axpy(-coef[k], y[k], dir);
+    }
+    if (stored > 0) {
+      const double gamma =
+          la::dot(s[newest], y[newest]) / la::dot(y[newest], y[newest]);
+      for (double& v : dir) v *= gamma;
+      for (std::size_t age = stored; age-- > 0;) {
+        const std::size_t k = slot(age);
+        la::axpy(coef[k] - rho[k] * la::dot(y[k], dir), s[k], dir);
+      }
+    }
+    for (double& v : dir) v = -v;
+    double slope = la::dot(g, dir);
+    double step = 1.0;
+    if (stored == 0 || !(slope < 0.0)) {
+      stored = 0;
+      for (std::size_t i = 0; i < d; ++i) dir[i] = -g[i];
+      slope = -la::dot(g, g);
+      step = 1.0 / std::sqrt(-slope);
+    }
+
+    // Backtracking Armijo search; a failed evaluation always backtracks.
+    double f_next = kFailed;
+    bool accepted = false;
+    while (result.evaluations < max_evaluations) {
+      for (std::size_t i = 0; i < d; ++i)
+        x_next[i] = result.x[i] + step * dir[i];
+      if (x_next == result.x) break;  // the step underflowed
+      f_next = eval(x_next, g_next);
+      if (f_next <= result.value + kArmijo * step * slope) {
+        accepted = true;
+        break;
+      }
+      step *= 0.5;
+    }
+    if (!accepted) break;
+
+    la::Vector sk = la::subtract(x_next, result.x);
+    la::Vector yk = la::subtract(g_next, g);
+    const double sy = la::dot(sk, yk);
+    if (sy > 0.0) {  // keep H positive definite
+      newest = stored == 0 ? 0 : (newest + 1) % kHistory;
+      s[newest] = std::move(sk);
+      y[newest] = std::move(yk);
+      rho[newest] = 1.0 / sy;
+      stored = std::min(stored + 1, kHistory);
+    }
+    const double decrease = result.value - f_next;
+    const double scale =
+        std::max({std::abs(result.value), std::abs(f_next), 1.0});
+    std::swap(result.x, x_next);
+    std::swap(g, g_next);
+    result.value = f_next;
+    if (decrease < kRelativeTolerance * scale) break;
+  }
+  return result;
 }
 
 Result differential_evolution(const ObjectiveFn& f, std::size_t dim,

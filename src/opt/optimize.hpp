@@ -1,8 +1,10 @@
-// Derivative-free optimizers and space-filling samplers.
+// Local and global optimizers and space-filling samplers.
 //
 // Two very different optimization jobs live in the tuner:
-//   1. GP hyperparameter fitting — smooth, low-dimensional, expensive
-//      objective (log marginal likelihood): multistart Nelder–Mead.
+//   1. Surrogate hyperparameter fitting — smooth, low-dimensional, expensive
+//      objective (log marginal likelihood): multistart L-BFGS on the
+//      analytic gradient for the LCM, multistart Nelder–Mead for the
+//      single-task GP.
 //   2. Acquisition maximization over the (encoded) unit cube — cheap,
 //      multimodal objective with plateaus from integer/categorical
 //      encoding: differential evolution seeded with random + incumbent
@@ -21,8 +23,12 @@
 
 namespace gptc::opt {
 
-/// Objective for all optimizers in this module: minimize f(x).
+/// Objective for the derivative-free optimizers in this module: minimize f(x).
 using ObjectiveFn = std::function<double(const la::Vector&)>;
+
+/// Objective with gradient: returns f(x) and writes its gradient into `grad`
+/// (already sized like x).
+using GradientFn = std::function<double(const la::Vector& x, la::Vector& grad)>;
 
 struct Result {
   la::Vector x;
@@ -54,6 +60,26 @@ Result nelder_mead(const ObjectiveFn& f, const la::Vector& start,
 Result multistart_nelder_mead(const ObjectiveFn& f,
                               const std::vector<la::Vector>& starts,
                               const NelderMeadOptions& options = {});
+
+/// Limited-memory BFGS from `start` with a budget of f-and-gradient
+/// evaluations, line-search trials included: a history of 6 curvature
+/// pairs, two-loop recursion and a backtracking (halving) Armijo line
+/// search. The first step, and any step after the history stops giving a
+/// descent direction, is steepest descent of length 1. An evaluation that
+/// returns a non-finite value or gradient, or DBL_MAX (the convention for
+/// a failed likelihood), is never accepted: the line search backtracks past
+/// it. Stops on the budget, on max_i |g_i| < 1e-5, or on a step whose
+/// relative decrease is below 1e-10. Deterministic: no clock, no randomness.
+Result lbfgs(const GradientFn& f, const la::Vector& start,
+             int max_evaluations);
+
+/// Runs `run(i)` for every start index i < num_starts — concurrently on
+/// `pool` when one is given — and returns the best result, with
+/// evaluations summed over all runs. Ties on the value resolve to the
+/// lowest start index, so the winner does not depend on the order in which
+/// the runs execute (or on the pool size).
+Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
+                  const std::function<Result(std::size_t)>& run);
 
 struct DifferentialEvolutionOptions {
   int population = 32;

@@ -26,7 +26,6 @@ class EnsembleTest : public ::testing::Test {
     o.tla.gp.fit_restarts = 1;
     o.tla.gp.fit_evaluations = 50;
     o.tla.lcm.fit_restarts = 0;
-    o.tla.lcm.fit_evaluations = 60;
     o.tla.lcm.max_samples_per_task = 30;
     o.tla.max_source_samples = 40;
     o.tla.acquisition.de_population = 12;

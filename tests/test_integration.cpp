@@ -110,7 +110,6 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
   options.algorithm = core::TlaKind::EnsembleProposed;
   options.seed = 5;
   options.tla.gp.fit_evaluations = 60;
-  options.tla.lcm.fit_evaluations = 80;
   options.tla.lcm.max_samples_per_task = 40;
   options.tla.max_source_samples = 40;
   const core::TuningResult result =

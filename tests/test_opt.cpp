@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 
 namespace gptc::opt {
 namespace {
@@ -82,6 +85,154 @@ TEST(MultistartNelderMead, PicksBestBasin) {
   const Result r = multistart_nelder_mead(f, {{0.15}, {0.85}});
   EXPECT_NEAR(r.x[0], 0.8, 0.01);
   EXPECT_THROW(multistart_nelder_mead(f, {}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// L-BFGS
+
+double rosenbrock_grad(const la::Vector& x, la::Vector& g) {
+  std::fill(g.begin(), g.end(), 0.0);
+  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+    const double a = x[i + 1] - x[i] * x[i];
+    g[i] += -400.0 * a * x[i] - 2.0 * (1.0 - x[i]);
+    g[i + 1] += 200.0 * a;
+  }
+  return rosenbrock(x);
+}
+
+/// sum_i c_i (x_i - 0.5)^2 with c_i from 1 to 1e4 (condition number 1e4).
+double ill_conditioned(const la::Vector& x, la::Vector& g) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double c = std::pow(1e4, static_cast<double>(i) /
+                                       static_cast<double>(x.size() - 1));
+    s += c * (x[i] - 0.5) * (x[i] - 0.5);
+    g[i] = 2.0 * c * (x[i] - 0.5);
+  }
+  return s;
+}
+
+TEST(Lbfgs, MinimizesRosenbrock2d) {
+  const int budget = 300;
+  const Result r = lbfgs(rosenbrock_grad, {-1.2, 1.0}, budget);
+  EXPECT_LT(r.value, 1e-8);
+  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
+  EXPECT_NEAR(r.x[1], 1.0, 1e-3);
+  EXPECT_LE(r.evaluations, budget);
+}
+
+TEST(Lbfgs, MinimizesRosenbrock6d) {
+  const int budget = 500;
+  const Result r = lbfgs(rosenbrock_grad, la::Vector(6, -0.5), budget);
+  EXPECT_LT(r.value, 1e-8);
+  for (double v : r.x) EXPECT_NEAR(v, 1.0, 1e-3);
+  EXPECT_LE(r.evaluations, budget);
+}
+
+TEST(Lbfgs, MinimizesIllConditionedQuadratic) {
+  const int budget = 200;
+  const Result r = lbfgs(ill_conditioned, la::Vector(5, 2.0), budget);
+  EXPECT_LT(r.value, 1e-10);
+  for (double v : r.x) EXPECT_NEAR(v, 0.5, 1e-4);
+  EXPECT_LE(r.evaluations, budget);
+}
+
+TEST(Lbfgs, RespectsEvaluationBudget) {
+  for (int budget : {1, 2, 5, 17}) {
+    int calls = 0;
+    const Result r = lbfgs(
+        [&](const la::Vector& x, la::Vector& g) {
+          ++calls;
+          return rosenbrock_grad(x, g);
+        },
+        {-1.2, 1.0}, budget);
+    EXPECT_EQ(r.evaluations, calls);
+    EXPECT_LE(calls, budget);
+    EXPECT_LE(r.value, rosenbrock({-1.2, 1.0}));
+  }
+}
+
+TEST(Lbfgs, BacktracksFromFailedEvaluations) {
+  // Minimum at (2, 2) is outside the ball |x| < 1.5, where f "fails" with
+  // DBL_MAX (the convention of a failed factor); the iterates must stay
+  // inside and end near the boundary point closest to the minimum.
+  int failed = 0;
+  const auto f = [&](const la::Vector& x, la::Vector& g) {
+    if (x[0] * x[0] + x[1] * x[1] >= 1.5 * 1.5) {
+      ++failed;
+      g.assign(g.size(), std::numeric_limits<double>::quiet_NaN());
+      return std::numeric_limits<double>::max();
+    }
+    g[0] = 2.0 * (x[0] - 2.0);
+    g[1] = 2.0 * (x[1] - 2.0);
+    return (x[0] - 2.0) * (x[0] - 2.0) + (x[1] - 2.0) * (x[1] - 2.0);
+  };
+  const int budget = 60;
+  const Result r = lbfgs(f, {0.0, 0.0}, budget);
+  EXPECT_GT(failed, 0);
+  EXPECT_LE(r.evaluations, budget);
+  EXPECT_LT(r.x[0] * r.x[0] + r.x[1] * r.x[1], 1.5 * 1.5);
+  EXPECT_NEAR(r.x[0], r.x[1], 1e-9);
+  EXPECT_GT(r.x[0], 1.0);  // close to (1.06, 1.06)
+  // A non-finite value backtracks the same way.
+  const Result nan_run = lbfgs(
+      [&](const la::Vector& x, la::Vector& g) {
+        const double v = f(x, g);
+        return v == std::numeric_limits<double>::max()
+                   ? std::numeric_limits<double>::quiet_NaN()
+                   : v;
+      },
+      {0.0, 0.0}, budget);
+  EXPECT_EQ(nan_run.x, r.x);
+  // A failed start, DBL_MAX or NaN, has nowhere to go.
+  const Result stuck = lbfgs(f, {3.0, 0.0}, budget);
+  EXPECT_EQ(stuck.evaluations, 1);
+  EXPECT_EQ(stuck.x, (la::Vector{3.0, 0.0}));
+  const Result nan_start = lbfgs(
+      [](const la::Vector&, la::Vector& g) {
+        g.assign(g.size(), 1.0);
+        return std::numeric_limits<double>::quiet_NaN();
+      },
+      {3.0, 0.0}, budget);
+  EXPECT_EQ(nan_start.evaluations, 1);
+  EXPECT_EQ(nan_start.value, std::numeric_limits<double>::max());
+}
+
+TEST(Lbfgs, RunsAreBitwiseIdentical) {
+  const int budget = 80;
+  const Result a = lbfgs(rosenbrock_grad, la::Vector(6, -0.5), budget);
+  const Result b = lbfgs(rosenbrock_grad, la::Vector(6, -0.5), budget);
+  EXPECT_EQ(a.x, b.x);  // exact, element by element
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+}
+
+TEST(Lbfgs, StopsAtStationaryPointAndRejectsEmptyStart) {
+  const Result r = lbfgs(ill_conditioned, la::Vector(3, 0.5), 100);
+  EXPECT_EQ(r.evaluations, 1);
+  EXPECT_EQ(r.value, 0.0);
+  EXPECT_THROW(lbfgs(ill_conditioned, {}, 100), std::invalid_argument);
+}
+
+TEST(Multistart, ReducesInIndexOrderAcrossPoolSizes) {
+  // Starts 1 and 3 tie on the best value: the lowest index must win, and
+  // the result must not depend on the pool.
+  const auto run = [](std::size_t i) {
+    Result r;
+    r.x = {static_cast<double>(i)};
+    r.value = (i == 1 || i == 3) ? -1.0 : static_cast<double>(i);
+    r.evaluations = 2;
+    return r;
+  };
+  for (std::size_t threads : {0u, 1u, 3u}) {
+    std::shared_ptr<parallel::ThreadPool> pool;
+    if (threads > 0) pool = std::make_shared<parallel::ThreadPool>(threads);
+    const Result best = multistart(pool.get(), 5, run);
+    EXPECT_EQ(best.x, la::Vector{1.0});
+    EXPECT_EQ(best.value, -1.0);
+    EXPECT_EQ(best.evaluations, 10);
+  }
+  EXPECT_THROW(multistart(nullptr, 0, run), std::invalid_argument);
 }
 
 TEST(DifferentialEvolution, MinimizesMultimodalFunction) {

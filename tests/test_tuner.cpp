@@ -22,7 +22,6 @@ TunerOptions fast_options(TlaKind kind, std::uint64_t seed) {
   o.tla.gp.fit_restarts = 1;
   o.tla.gp.fit_evaluations = 60;
   o.tla.lcm.fit_restarts = 0;
-  o.tla.lcm.fit_evaluations = 80;
   o.tla.lcm.max_samples_per_task = 40;
   o.tla.acquisition.de_population = 16;
   o.tla.acquisition.de_generations = 15;
