@@ -37,8 +37,8 @@ class QueryParseError : public std::runtime_error {
 };
 
 /// Compiles a WHERE clause into a match expression accepted by
-/// db::matches / Collection::find. An empty (all-whitespace) clause
-/// compiles to the match-everything query {}.
+/// Collection::find. An empty (all-whitespace) clause compiles to the
+/// match-everything query {}.
 json::Json parse_where_clause(std::string_view text);
 
 }  // namespace gptc::crowd

@@ -43,17 +43,45 @@ Accessibility Accessibility::from_json(const Json& j) {
   return a;
 }
 
+EvalUpload EvalUpload::from_json(const Json& r) {
+  EvalUpload e;
+  e.task_parameters = r.get_or("task_parameters", Json::object());
+  e.tuning_parameters = r.get_or("tuning_parameters", Json::object());
+  e.output_name = r.get_or("output_name", Json("runtime")).as_string();
+  const Json out = r.get_or("output", Json(nullptr));
+  e.output = out.is_number() ? out.as_double()
+                             : std::numeric_limits<double>::quiet_NaN();
+  e.machine_configuration = r.get_or("machine_configuration", Json::object());
+  e.software_configuration =
+      r.get_or("software_configuration", Json::object());
+  e.accessibility =
+      Accessibility::from_json(r.get_or("accessibility", Json("public")));
+  return e;
+}
+
 SharedRepo::SharedRepo(std::uint64_t seed)
     : key_rng_(rng::splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {
-  // Seed the alias databases with the machines/software the paper's
-  // experiments use; deployments add their own via add_*_alias.
-  add_machine_alias("Cori", {"cori", "cori-nersc", "CoriHaswell"});
-  add_software_alias("gcc", {"GCC", "gnu-gcc"});
-  add_software_alias("cray-mpich", {"CrayMPICH", "craympich"});
-  add_software_alias("scalapack", {"ScaLAPACK"});
-  add_software_alias("superlu-dist", {"SuperLU_DIST", "superlu_dist"});
-  add_software_alias("hypre", {"Hypre", "HYPRE"});
-  add_software_alias("nimrod", {"NIMROD"});
+  seed_alias_tables();
+}
+
+void SharedRepo::seed_alias_tables() {
+  // The machines/software the paper's experiments use; deployments add
+  // their own via add_*_alias. An entry whose canonical name is already
+  // present is skipped, so reopening a durable repository writes nothing.
+  const auto seed = [&](const char* table, const std::string& canonical,
+                        const std::vector<std::string>& aliases) {
+    Json q = Json::object();
+    q["canonical"] = canonical;
+    if (!store_.collection(table).exists(q))
+      add_alias(table, canonical, aliases);
+  };
+  seed("machines", "Cori", {"cori", "cori-nersc", "CoriHaswell"});
+  seed("software", "gcc", {"GCC", "gnu-gcc"});
+  seed("software", "cray-mpich", {"CrayMPICH", "craympich"});
+  seed("software", "scalapack", {"ScaLAPACK"});
+  seed("software", "superlu-dist", {"SuperLU_DIST", "superlu_dist"});
+  seed("software", "hypre", {"Hypre", "HYPRE"});
+  seed("software", "nimrod", {"NIMROD"});
 }
 
 std::string SharedRepo::random_token(std::size_t length,
@@ -87,23 +115,19 @@ std::string hash_api_key_v2(const std::string& salt,
       db::engine::siphash_key_from_salt(salt), api_key));
 }
 
-/// Verifies an API key against one stored key document, honouring the
-/// stored hash_version: 2 = salted SipHash-2-4; absent/1 = the legacy fast
-/// FNV hash, kept so repository directories written by older builds still
-/// authenticate.
 /// Process-wide count of stored-key hash verifications; the server tests
 /// assert one per request (the AuthedUser proof token elides re-hashing).
 std::atomic<std::uint64_t> g_auth_hash_invocations{0};
 
+/// Verifies an API key against one stored key document. Only hash_version 2
+/// (salted SipHash-2-4) documents can match; any other version fails
+/// closed.
 bool key_doc_matches(const Json& doc, const std::string& api_key) {
+  if (doc.get_or("hash_version", Json(0)).as_int() != 2) return false;
   g_auth_hash_invocations.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t version = doc.get_or("hash_version", Json(1)).as_int();
-  if (version == 2)
-    return doc.get_or("key_hash", Json("")).as_string() ==
-           hash_api_key_v2(doc.get_or("key_salt", Json("")).as_string(),
-                           api_key);
   return doc.get_or("key_hash", Json("")).as_string() ==
-         std::to_string(rng::hash_tag(api_key));
+         hash_api_key_v2(doc.get_or("key_salt", Json("")).as_string(),
+                         api_key);
 }
 
 }  // namespace
@@ -134,8 +158,7 @@ std::string SharedRepo::issue_api_key(const std::string& username) {
   doc["username"] = username;
   // Only the salted hash is stored; the plaintext key exists solely in the
   // return value, mirroring the website's show-once behaviour. The format
-  // is versioned so directories written with the legacy FNV hash
-  // (hash_version absent) keep authenticating — see key_doc_matches.
+  // is versioned; key_doc_matches accepts version 2 only.
   doc["hash_version"] = 2;
   doc["key_salt"] = salt;
   doc["key_hash"] = hash_api_key_v2(salt, key);
@@ -200,22 +223,22 @@ std::size_t SharedRepo::num_users() const {
 
 void SharedRepo::add_machine_alias(const std::string& canonical,
                                    const std::vector<std::string>& aliases) {
-  Json doc = Json::object();
-  doc["canonical"] = canonical;
-  Json list = Json::array();
-  for (const auto& a : aliases) list.push_back(a);
-  doc["aliases"] = std::move(list);
-  store_.collection("machines").insert(std::move(doc));
+  add_alias("machines", canonical, aliases);
 }
 
 void SharedRepo::add_software_alias(const std::string& canonical,
                                     const std::vector<std::string>& aliases) {
+  add_alias("software", canonical, aliases);
+}
+
+void SharedRepo::add_alias(const char* table, const std::string& canonical,
+                           const std::vector<std::string>& aliases) {
   Json doc = Json::object();
   doc["canonical"] = canonical;
   Json list = Json::array();
   for (const auto& a : aliases) list.push_back(a);
   doc["aliases"] = std::move(list);
-  store_.collection("software").insert(std::move(doc));
+  store_.collection(table).insert(std::move(doc));
 }
 
 namespace {
@@ -742,22 +765,14 @@ std::vector<core::TaskHistory> SharedRepo::query_source_histories(
   return out;
 }
 
-void SharedRepo::save(const std::filesystem::path& dir) const {
-  store_.save(dir);
-}
-
-SharedRepo SharedRepo::load(const std::filesystem::path& dir,
-                            std::uint64_t seed) {
-  SharedRepo repo(seed);
-  repo.store_ = db::DocumentStore::load(dir);
-  return repo;
-}
-
 SharedRepo SharedRepo::open_durable(const std::filesystem::path& dir,
                                     std::uint64_t seed,
                                     db::engine::EngineOptions options) {
   SharedRepo repo(seed);
   repo.store_ = db::DocumentStore::open_durable(dir, std::move(options));
+  // The constructor seeded the in-memory store just replaced; the opened
+  // repository gets whichever seed aliases it does not hold yet.
+  repo.seed_alias_tables();
   repo.declare_default_indexes();
   return repo;
 }

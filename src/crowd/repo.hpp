@@ -7,13 +7,14 @@
 // QueryPredictOutput, QuerySensitivityAnalysis).
 //
 // The backing store is the JSON document store in src/db — the single-node
-// equivalent of the paper's MongoDB deployment. open_durable() opens it on
-// the src/db/engine storage engine (write-ahead log + atomic snapshots +
-// crash recovery) and declares the secondary indexes the crowd queries
-// route through; load()/save() remain the legacy diffable-JSON mode. API
-// keys are random 20-character strings; only a salted SipHash-2-4 hash is
-// stored (hash_version 2 — stores written by older builds with the fast
-// FNV stand-in still authenticate via the versioned fallback).
+// equivalent of the paper's MongoDB deployment. open_durable() is the one
+// way a repository reaches disk: it opens the store on the src/db/engine
+// storage engine (write-ahead log + atomic snapshots + crash recovery) and
+// declares the secondary indexes the crowd queries route through. A
+// SharedRepo constructed directly is in-memory only. API keys are random
+// 20-character strings; only a salted SipHash-2-4 hash is stored
+// (hash_version 2), and a key document with any other version fails
+// closed: it never authenticates and cannot be revoked.
 #pragma once
 
 #include <filesystem>
@@ -54,6 +55,12 @@ struct EvalUpload {
   json::Json machine_configuration = json::Json::object();
   json::Json software_configuration = json::Json::object();
   Accessibility accessibility;
+
+  /// Decodes one upload record in the wire / records-file shape
+  /// ({"task_parameters": {...}, "output": 1.23, "output_name": ...}).
+  /// Missing fields take defaults: output NaN (a failed run), output_name
+  /// "runtime", accessibility public, configurations empty objects.
+  static EvalUpload from_json(const json::Json& r);
 };
 
 class SharedRepo;
@@ -235,13 +242,10 @@ class SharedRepo {
 
   // --- Persistence -----------------------------------------------------------
 
-  void save(const std::filesystem::path& dir) const;
-  static SharedRepo load(const std::filesystem::path& dir,
-                         std::uint64_t seed = 0x6a09e667f3bcc908ULL);
-
   /// Opens `dir` on the storage engine (WAL + snapshots + crash recovery;
   /// see src/db/engine/engine.hpp) and declares the default secondary
-  /// indexes. A directory written by save() is migrated on first open.
+  /// indexes. Throws std::runtime_error on a directory of pre-engine JSON
+  /// exports, which are no longer imported.
   static SharedRepo open_durable(const std::filesystem::path& dir,
                                  std::uint64_t seed = 0x6a09e667f3bcc908ULL,
                                  db::engine::EngineOptions options = {});
@@ -260,14 +264,18 @@ class SharedRepo {
   /// meta queries that range over task sizes within a problem partition.
   void declare_task_parameter_index(const std::string& parameter_name);
 
-  /// Durable mode: fsync pending WAL batches / force snapshot + compaction.
-  /// No-ops on a legacy in-memory repo.
+  /// Fsync pending WAL batches / force snapshot + compaction. No-ops on an
+  /// in-memory repo.
   void sync() { store_.sync(); }
   void checkpoint() { store_.checkpoint_all(); }
 
   const db::DocumentStore& store() const { return store_; }
 
  private:
+  /// Adds the built-in machine/software alias entries the store lacks.
+  void seed_alias_tables();
+  void add_alias(const char* table, const std::string& canonical,
+                 const std::vector<std::string>& aliases);
   std::string random_token(std::size_t length, std::uint64_t stream_tag);
   std::string generate_api_key();
   json::Json build_record(const std::string& user,
@@ -306,8 +314,7 @@ class SharedRepo {
   /// detected and inserted atomically; this serializes the detect-and-
   /// insert window so two racing first uploads cannot both write the
   /// descriptor. Ordinary uploads (descriptors already present) skip it.
-  /// Heap-held so SharedRepo stays movable (load/open_durable return by
-  /// value).
+  /// Heap-held so SharedRepo stays movable (open_durable returns by value).
   std::unique_ptr<std::mutex> catalog_mu_ = std::make_unique<std::mutex>();
   // guard-ok: DocumentStore/Collection synchronize internally (shard locks)
   db::DocumentStore store_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "db/query/planner.hpp"
@@ -11,60 +10,6 @@
 namespace gptc::db {
 
 namespace {
-
-bool compare_lt(const Json& a, const Json& b) {
-  if (a.is_number() && b.is_number()) return a.as_double() < b.as_double();
-  if (a.is_string() && b.is_string()) return a.as_string() < b.as_string();
-  return false;  // incomparable types never satisfy an ordering operator
-}
-
-bool in_list(const Json& value, const Json& list) {
-  for (const auto& item : list.as_array())
-    if (value == item) return true;
-  return false;
-}
-
-/// Applies one operator object ({"$gte": 5, "$lt": 9}) to a present value.
-bool match_operators(const Json& value, const Json& ops) {
-  for (const auto& [op, operand] : ops.as_object()) {
-    if (op == "$eq") {
-      if (!(value == operand)) return false;
-    } else if (op == "$ne") {
-      if (value == operand) return false;
-    } else if (op == "$gt") {
-      if (!compare_lt(operand, value)) return false;
-    } else if (op == "$gte") {
-      if (compare_lt(value, operand)) return false;
-      if (!value.is_number() && !value.is_string()) return false;
-      if (value.is_number() != operand.is_number()) return false;
-    } else if (op == "$lt") {
-      if (!compare_lt(value, operand)) return false;
-    } else if (op == "$lte") {
-      if (compare_lt(operand, value)) return false;
-      if (!value.is_number() && !value.is_string()) return false;
-      if (value.is_number() != operand.is_number()) return false;
-    } else if (op == "$in") {
-      if (!in_list(value, operand)) return false;
-    } else if (op == "$nin") {
-      if (in_list(value, operand)) return false;
-    } else if (op == "$exists") {
-      // Presence already established by the caller; $exists:false fails.
-      if (!operand.as_bool()) return false;
-    } else {
-      throw json::JsonError("unknown query operator: " + op);
-    }
-  }
-  return true;
-}
-
-bool is_operator_object(const Json& j) {
-  if (!j.is_object() || j.as_object().empty()) return false;
-  for (const auto& [k, v] : j.as_object()) {
-    (void)v;
-    if (k.empty() || k[0] != '$') return false;
-  }
-  return true;
-}
 
 /// Atomic max fold for the id counter: shard recovery tasks (and
 /// restore_shard) run in parallel, each pushing the counter past the ids it
@@ -92,42 +37,6 @@ std::vector<std::shared_lock<std::shared_mutex>> lock_shared_all(
 
 const Json* lookup_path(const Json& document, const std::string& path) {
   return query::lookup(document, std::string_view(path));
-}
-
-bool matches(const Json& document, const Json& query) {
-  if (!query.is_object())
-    throw json::JsonError("query must be a JSON object");
-  for (const auto& [key, condition] : query.as_object()) {
-    if (key == "$and") {
-      for (const auto& sub : condition.as_array())
-        if (!matches(document, sub)) return false;
-    } else if (key == "$or") {
-      bool any = false;
-      for (const auto& sub : condition.as_array())
-        if (matches(document, sub)) {
-          any = true;
-          break;
-        }
-      if (!any) return false;
-    } else if (key == "$not") {
-      if (matches(document, condition)) return false;
-    } else {
-      const Json* value = lookup_path(document, key);
-      if (is_operator_object(condition)) {
-        if (!value) {
-          // Only {$exists:false} can match a missing field.
-          const auto& ops = condition.as_object();
-          const auto it = ops.find("$exists");
-          if (it == ops.end() || it->second.as_bool()) return false;
-          continue;
-        }
-        if (!match_operators(*value, condition)) return false;
-      } else {
-        if (!value || !(*value == condition)) return false;
-      }
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -745,22 +654,6 @@ void Collection::configure_shards(std::size_t shards) {
   for (auto& sp : shards_) rebuild_shard_derived(*sp);
 }
 
-void Collection::restore(const Json& j) {
-  std::int64_t next = j.at("next_id").as_int();
-  for (auto& sp : shards_) {
-    sp->docs.clear();
-    sp->id_pos.clear();
-    sp->indexes.clear();
-  }
-  for (const auto& d : j.at("docs").as_array()) {
-    const std::int64_t id = d.at("_id").as_int();
-    next = std::max(next, id + 1);
-    shards_[shard_of(id)]->docs.push_back(d);
-  }
-  next_id_.store(next);
-  for (auto& sp : shards_) rebuild_shard_derived(*sp);
-}
-
 void Collection::restore_shard(std::size_t shard, const Json& j) {
   fold_next_id(next_id_, j.at("next_id").as_int());
   Shard& s = *shards_[shard];
@@ -817,12 +710,6 @@ Json Collection::to_json() const {
   });
   j["docs"] = std::move(docs);
   return j;
-}
-
-Collection Collection::from_json(const Json& j) {
-  Collection c(j.at("name").as_string());
-  c.restore(j);
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -947,21 +834,6 @@ void DocumentStore::export_json(const std::filesystem::path& dir) const {
                                (dir / (name + ".json")).string());
     out << c.to_json().dump(2) << "\n";
   }
-}
-
-DocumentStore DocumentStore::load(const std::filesystem::path& dir) {
-  DocumentStore store;
-  if (!std::filesystem::exists(dir)) return store;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    std::ifstream in(entry.path());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Collection c = Collection::from_json(Json::parse(buf.str()));
-    const std::string name = c.name();
-    store.collections_.emplace(name, std::move(c));
-  }
-  return store;
 }
 
 DocumentStore DocumentStore::open_durable(const std::filesystem::path& dir,

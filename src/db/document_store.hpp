@@ -26,16 +26,17 @@
 // shard's writer lock — readers and crash recovery observe none or all of
 // such a mutation.
 //
-// Two persistence modes:
-//  - export_json()/load(): one pretty-printed JSON file per collection —
-//    diffable and inspectable, but the rewrite is not crash-atomic. Kept as
-//    the explicit export format.
-//  - open_durable(): the storage engine in src/db/engine — per-shard
-//    write-ahead logs with CRC32/SipHash-framed records and group commit,
-//    atomic snapshots + compaction, parallel crash recovery that tolerates
-//    a torn final record per log, and cross-collection atomic batches
-//    (insert_atomic). The Collection/DocumentStore API is identical in
-//    both modes.
+// One persistence path: open_durable() puts the store on the storage
+// engine in src/db/engine — per-shard write-ahead logs with
+// CRC32/SipHash-framed records and group commit, atomic snapshots +
+// compaction, parallel crash recovery that tolerates a torn final record
+// per log, and cross-collection atomic batches (insert_atomic). It is the
+// only way a store reaches or leaves disk. A default-constructed store is
+// in-memory only (tests, examples, the tuner) and has the identical
+// Collection/DocumentStore API. export_json() is a one-way dump — one
+// pretty-printed JSON file per collection, diffable and inspectable —
+// that nothing reads back; the engine refuses to open a directory of such
+// exports rather than start it empty.
 //
 // Collections also support ordered secondary indexes on dot-paths
 // (create_index): $eq/$in/$gt/$gte/$lt/$lte predicates on an indexed path
@@ -71,13 +72,6 @@
 namespace gptc::db {
 
 using json::Json;
-
-/// Evaluates a Mongo-style match expression against a document. This is the
-/// reference interpreter: the collection read/write paths run compiled
-/// programs (query::CompiledQuery) instead, and the differential test in
-/// tests/test_query_compile.cpp holds the two to identical verdicts.
-/// Exposed for reuse (the crowd layer post-filters nested arrays with it).
-bool matches(const Json& document, const Json& query);
 
 /// Looks up a dot-separated path ("a.b.c") in a document. Purely numeric
 /// segments index into arrays ("grid.0" is grid[0]). Returns nullptr if any
@@ -184,11 +178,10 @@ class Collection {
   /// call back into the collection.
   void for_each(const std::function<bool(const Json&)>& fn) const;
 
-  /// Serialization for persistence: {"name":..., "next_id":..., "docs":[...]}
+  /// The export/snapshot shape: {"name":..., "next_id":..., "docs":[...]}
   /// with docs merged across shards in insertion order. Takes the shard
   /// reader locks itself unless the caller already holds them exclusively.
   Json to_json() const;
-  static Collection from_json(const Json& j);
 
  private:
   friend class DocumentStore;
@@ -211,10 +204,6 @@ class Collection {
   /// before concurrent use; existing docs are redistributed).
   // guard-ok: runs single-threaded, before any concurrent use
   void configure_shards(std::size_t shards);
-  /// Replaces state from a full snapshot / legacy export (to_json shape),
-  /// distributing docs across the current shards.
-  // guard-ok: single-threaded recovery/import path
-  void restore(const Json& j);
   /// Replaces ONE shard's state from its snapshot (to_json shape whose
   /// docs are that shard's subset); folds next_id forward.
   // guard-ok: single-threaded recovery path
@@ -298,20 +287,15 @@ class DocumentStore {
   /// writer locks). Throws before any mutation on a non-object document.
   AtomicInsert insert_atomic(std::map<std::string, std::vector<Json>> docs);
 
-  /// Writes every collection as <dir>/<name>.json (creating dir) — the
-  /// diffable, inspectable export. Not crash-atomic; durable stores persist
-  /// through their WAL/snapshots and use this only for exports.
+  /// Writes every collection as <dir>/<name>.json (creating dir) — a
+  /// one-way, diffable dump for inspection. Not crash-atomic and never read
+  /// back: durable stores persist through their WAL/snapshots.
   void export_json(const std::filesystem::path& dir) const;
-  /// Backwards-compatible alias for export_json().
-  void save(const std::filesystem::path& dir) const { export_json(dir); }
-
-  /// Loads every *.json collection file from the directory (legacy /
-  /// in-memory mode; no durability attached).
-  static DocumentStore load(const std::filesystem::path& dir);
 
   /// Opens a directory with the storage engine: replays snapshots + shard
-  /// WALs (bootstrapping from *.json exports if no engine files exist yet)
-  /// and WAL-logs every subsequent mutation. See src/db/engine/engine.hpp.
+  /// WALs and WAL-logs every subsequent mutation. Refuses (throws
+  /// std::runtime_error) a directory of *.json exports without an engine
+  /// manifest. See src/db/engine/engine.hpp.
   static DocumentStore open_durable(const std::filesystem::path& dir,
                                     engine::EngineOptions options = {});
 
@@ -327,7 +311,7 @@ class DocumentStore {
  private:
   friend class engine::StorageEngine;
 
-  // guard-ok: map shape fixed during single-threaded setup (open/load or
+  // guard-ok: map shape fixed during single-threaded setup (open_durable or
   // pre-traffic collection() calls); concurrent phases only look up entries
   std::map<std::string, Collection> collections_;
   // guard-ok: set once by open_durable before any concurrent use

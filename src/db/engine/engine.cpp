@@ -162,7 +162,6 @@ void StorageEngine::recover(DocumentStore& store) {
   const std::optional<std::size_t> manifest = read_manifest(dir_ / kManifestName);
 
   std::set<std::string> collections;  // names with current-layout artifacts
-  std::set<std::string> legacy_json;  // migration sources, never deleted here
   std::vector<std::filesystem::path> debris;  // stale tmps + wrong-count files
   std::vector<std::filesystem::path> sharded;  // deferred until disk_n known
   bool have_plain = false;   // unsuffixed .wal/.snapshot present
@@ -187,6 +186,13 @@ void StorageEngine::recover(DocumentStore& store) {
     refuse(dir_, "sharded engine files present but " +
                      std::string(kManifestName) +
                      " is missing; not guessing a layout");
+  if (!manifest)
+    for (const auto& p : entries)
+      if (p.extension() == ".json")
+        refuse(dir_, p.filename().string() +
+                         " is a JSON export and " + kManifestName +
+                         " is missing; pre-engine JSON exports are no "
+                         "longer imported");
 
   std::size_t disk_n = manifest.value_or(1);
   bool fresh = true;  // no engine artifacts at all (manifest counts)
@@ -200,10 +206,6 @@ void StorageEngine::recover(DocumentStore& store) {
       if (p.stem().extension().string() == ".snapshot" ||
           stem == kManifestName)
         debris.push_back(p);
-      continue;
-    }
-    if (ext == ".json") {
-      legacy_json.insert(stem);
       continue;
     }
     if (ext != ".wal" && ext != ".snapshot") continue;
@@ -272,7 +274,6 @@ void StorageEngine::recover(DocumentStore& store) {
       }
     }
   }
-  for (const auto& name : legacy_json) collections.insert(name);
 
   // --- per-shard parallel recovery -----------------------------------------
   struct ShardTask {
@@ -285,29 +286,8 @@ void StorageEngine::recover(DocumentStore& store) {
     std::string warning;
   };
   std::vector<ShardTask> tasks;
-  std::map<std::string, bool> from_legacy;
   for (const std::string& name : collections) {
     Collection& c = store.collection(name);
-    bool any_snapshot = false;
-    for (std::size_t k = 0; k < disk_n; ++k)
-      if (std::filesystem::exists(dir_ /
-                                  (shard_stem(name, k, disk_n) + ".snapshot")))
-        any_snapshot = true;
-    if (!any_snapshot && legacy_json.count(name)) {
-      // One-time migration from the diffable JSON export: it becomes the
-      // base state, absorbed into snapshots below so later exports can
-      // never be mistaken for a base again.
-      std::ifstream in(dir_ / (name + ".json"));
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const Json j = Json::parse(buf.str());
-      if (j.at("name").as_string() != name)
-        throw std::runtime_error("engine: collection file " + name +
-                                 ".json names collection '" +
-                                 j.at("name").as_string() + "'");
-      c.restore(j);
-      from_legacy[name] = true;
-    }
     for (std::size_t k = 0; k < disk_n; ++k) {
       ShardTask t;
       t.c = &c;
@@ -432,22 +412,6 @@ void StorageEngine::recover(DocumentStore& store) {
         committer_->mark_durable(commit_wal_stem(), next - 1);
       }
     }
-  }
-
-  // --- retire consumed legacy exports --------------------------------------
-  for (const auto& [name, was_legacy] : from_legacy) {
-    if (!was_legacy) continue;
-    if (target == disk_n) {
-      // Absorb the export into snapshots now; after a migration the new
-      // layout's snapshots already cover it.
-      Collection& c = store.collection(name);
-      for (std::size_t k = 0; k < shard_count_; ++k) checkpoint_shard(c, k);
-    }
-    // Retire the source so a later recovery whose snapshot goes missing
-    // can never silently fall back to this stale state.
-    std::filesystem::rename(dir_ / (name + ".json"),
-                            dir_ / (name + ".json.migrated"));
-    sync_parent_dir(dir_ / (name + ".json"));
   }
 
   store_ = &store;

@@ -139,15 +139,16 @@ class StorageEngine {
   std::string commit_wal_stem() const;
 
   /// Rebuilds every collection found in the directory (snapshots, shard
-  /// WALs, commit-WAL members, or a legacy `<name>.json` export used as a
-  /// one-time migration source) into `store`, attaching the engine to
+  /// WALs, commit-WAL members) into `store`, attaching the engine to
   /// each; shards recover in parallel. Called once by
   /// DocumentStore::open_durable before the store is visible to anyone.
   /// Performs the shard-count migration when EngineOptions::shards
   /// disagrees with the directory. Throws std::runtime_error when an
   /// artifact is rejected rather than merely torn: a snapshot that exists
   /// but fails its checksum/parse, a WAL with mid-log corruption / a wrong
-  /// checksum key, or sharded files without a manifest — refusing to open
+  /// checksum key, sharded files without a manifest, or `*.json` exports
+  /// without a manifest (pre-engine exports are not imported, and opening
+  /// them as an empty store would hide their records) — refusing to open
   /// beats silently discarding committed records.
   void recover(DocumentStore& store);
 

@@ -29,7 +29,7 @@ struct Snapshot {
 };
 
 /// nullopt if the file is missing (recovery then falls back to WAL-only
-/// replay or a legacy export). A snapshot that EXISTS but fails its
+/// replay). A snapshot that EXISTS but fails its
 /// checksum, parse, or format check throws std::runtime_error instead:
 /// falling back to an older source would silently resurrect stale state.
 std::optional<Snapshot> read_snapshot(const std::filesystem::path& path);

@@ -58,7 +58,7 @@ const json::Json* lookup(const json::Json& document, const PathRef& path);
 /// Resolves a dotted path without pre-splitting, walking string_view
 /// segments in place (no allocation; object lookup is heterogeneous via
 /// the Json::Object transparent comparator). db::lookup_path delegates
-/// here so interpreted matches() shares the allocation-free core.
+/// here, so every caller shares the allocation-free core.
 const json::Json* lookup(const json::Json& document, std::string_view path);
 
 }  // namespace gptc::db::query

@@ -1,18 +1,19 @@
 // Compiled Mongo-style match expressions.
 //
-// db::matches() re-interprets the query tree for every record: each field
-// re-splits its dot path, each operator is re-dispatched by string key, and
-// get_or/substr allocate along the way. At N candidate records per query
-// that interpretation dominates the read path (EXPERIMENTS "Server
+// A tree-walking interpreter re-interprets the query for every record: each
+// field re-splits its dot path, each operator is re-dispatched by string
+// key, and get_or/substr allocate along the way. At N candidate records per
+// query that interpretation dominates the read path (EXPERIMENTS "Server
 // throughput"). CompiledQuery lowers the query ONCE into a flat program —
 // prefix-ordered logic nodes over interned, pre-split paths and typed
 // comparison opcodes with pre-extracted operands — whose evaluation does no
 // parsing and no allocation per record.
 //
-// Contract: eval(doc) returns exactly what db::matches(doc, query) returns
-// for every document (the differential test in tests/test_query_compile.cpp
-// drives randomized documents and queries through both). The one deliberate
-// difference is *when* malformed queries throw: matches() throws JsonError
+// Contract: eval(doc) returns exactly what the reference interpreter
+// (oracle::matches in tests/query_oracle.hpp) returns for every document
+// (the differential test in tests/test_query_compile.cpp drives randomized
+// documents and queries through both). The one deliberate difference is
+// *when* malformed queries throw: the interpreter throws JsonError
 // lazily, on the first record that reaches the bad operator, while
 // compile() validates the whole query up front — so a mutation can never
 // WAL-log a query that would poison replay.
@@ -31,7 +32,7 @@ namespace gptc::db::query {
 class CompiledQuery {
  public:
   /// Lowers a match expression. Throws json::JsonError on the same
-  /// malformed shapes matches() rejects (non-object query, unknown $op,
+  /// malformed shapes the reference interpreter rejects (non-object query, unknown $op,
   /// non-array $and/$or/$in operand, non-bool $exists operand).
   static CompiledQuery compile(const json::Json& query);
 

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,30 +12,6 @@
 #include "crowd/query_language.hpp"
 
 namespace gptc::net {
-
-namespace {
-
-/// Builds the EvalUpload for one wire record, with the same field
-/// defaults as `crowdctl upload` (missing output = failed run = NaN).
-crowd::EvalUpload eval_from_json(const json::Json& r) {
-  crowd::EvalUpload e;
-  e.task_parameters = r.get_or("task_parameters", json::Json::object());
-  e.tuning_parameters = r.get_or("tuning_parameters", json::Json::object());
-  const json::Json name = r.get_or("output_name", json::Json("runtime"));
-  e.output_name = name.as_string();
-  const json::Json out = r.get_or("output", json::Json(nullptr));
-  e.output = out.is_number() ? out.as_double()
-                             : std::numeric_limits<double>::quiet_NaN();
-  e.machine_configuration =
-      r.get_or("machine_configuration", json::Json::object());
-  e.software_configuration =
-      r.get_or("software_configuration", json::Json::object());
-  e.accessibility = crowd::Accessibility::from_json(
-      r.get_or("accessibility", json::Json("public")));
-  return e;
-}
-
-}  // namespace
 
 CrowdServer::CrowdServer(crowd::SharedRepo& repo, ServerOptions options)
     : repo_(repo), opts_(std::move(options)) {
@@ -252,12 +227,14 @@ json::Json CrowdServer::dispatch(const json::Json& request) {
   }
 }
 
-json::Json CrowdServer::handle_upload(const json::Json& request) {
+std::variant<CrowdServer::RequestContext, json::Json>
+CrowdServer::request_context(const json::Json& request,
+                             bool with_where) const {
   const json::Json key = request.get_or("api_key", json::Json(nullptr));
   if (!key.is_string()) {
     return make_error(ErrorCode::Auth, "missing api_key");
   }
-  const std::optional<crowd::AuthedUser> user =
+  std::optional<crowd::AuthedUser> user =
       repo_.authenticate_user(key.as_string());
   if (!user) {
     return make_error(ErrorCode::Auth, "invalid or revoked API key");
@@ -266,6 +243,21 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
   if (!problem.is_string()) {
     return make_error(ErrorCode::BadRequest, "missing problem name");
   }
+  RequestContext ctx{std::move(*user), problem.as_string(), ""};
+  if (with_where) {
+    const json::Json where = request.get_or("where", json::Json(""));
+    if (!where.is_string()) {
+      return make_error(ErrorCode::BadRequest, "where must be a string");
+    }
+    ctx.where = where.as_string();
+  }
+  return ctx;
+}
+
+json::Json CrowdServer::handle_upload(const json::Json& request) {
+  auto head = request_context(request, /*with_where=*/false);
+  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  const RequestContext& ctx = std::get<RequestContext>(head);
   const json::Json records = request.get_or("records", json::Json(nullptr));
   if (!records.is_array() || records.as_array().empty()) {
     return make_error(ErrorCode::BadRequest,
@@ -279,7 +271,7 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
                         "each record must be a JSON object");
     }
     try {
-      evals.push_back(eval_from_json(r));
+      evals.push_back(crowd::EvalUpload::from_json(r));
     } catch (const std::exception& e) {
       return make_error(ErrorCode::BadRequest,
                         std::string("bad record: ") + e.what());
@@ -287,7 +279,7 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
   }
 
   const crowd::SharedRepo::UploadReceipt receipt =
-      repo_.upload_batch(*user, problem.as_string(), evals);
+      repo_.upload_batch(ctx.user, ctx.problem, evals);
   // The ack gate: with async group commit this blocks until the commit
   // thread fsynced the batch's WAL — the shard WAL its frame lives in, or
   // the engine commit WAL when the upload spans shards or wrote catalog
@@ -305,26 +297,12 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
 }
 
 json::Json CrowdServer::handle_query(const json::Json& request) {
-  const json::Json key = request.get_or("api_key", json::Json(nullptr));
-  if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
-  }
-  const std::optional<crowd::AuthedUser> user =
-      repo_.authenticate_user(key.as_string());
-  if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
-  }
-  const json::Json problem = request.get_or("problem", json::Json(nullptr));
-  if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
-  }
-  const json::Json where = request.get_or("where", json::Json(""));
-  if (!where.is_string()) {
-    return make_error(ErrorCode::BadRequest, "where must be a string");
-  }
+  auto head = request_context(request, /*with_where=*/true);
+  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  const RequestContext& ctx = std::get<RequestContext>(head);
   std::vector<json::Json> found;
   try {
-    found = repo_.query_where(*user, problem.as_string(), where.as_string());
+    found = repo_.query_where(ctx.user, ctx.problem, ctx.where);
   } catch (const crowd::QueryParseError& e) {
     return make_error(ErrorCode::BadRequest, e.what());
   }
@@ -337,26 +315,11 @@ json::Json CrowdServer::handle_query(const json::Json& request) {
 }
 
 json::Json CrowdServer::handle_explain(const json::Json& request) {
-  const json::Json key = request.get_or("api_key", json::Json(nullptr));
-  if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
-  }
-  const std::optional<crowd::AuthedUser> user =
-      repo_.authenticate_user(key.as_string());
-  if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
-  }
-  const json::Json problem = request.get_or("problem", json::Json(nullptr));
-  if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
-  }
-  const json::Json where = request.get_or("where", json::Json(""));
-  if (!where.is_string()) {
-    return make_error(ErrorCode::BadRequest, "where must be a string");
-  }
+  auto head = request_context(request, /*with_where=*/true);
+  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  const RequestContext& ctx = std::get<RequestContext>(head);
   try {
-    return make_result(
-        repo_.explain_where(*user, problem.as_string(), where.as_string()));
+    return make_result(repo_.explain_where(ctx.user, ctx.problem, ctx.where));
   } catch (const crowd::QueryParseError& e) {
     return make_error(ErrorCode::BadRequest, e.what());
   }

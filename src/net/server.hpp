@@ -38,6 +38,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "crowd/repo.hpp"
 #include "json/json.hpp"
@@ -100,6 +101,20 @@ class CrowdServer {
   /// Dispatches one parsed request payload; always returns a response
   /// payload (make_result / make_error).
   json::Json dispatch(const json::Json& request);
+
+  /// The validated head every repository op shares: the authenticated
+  /// caller, the problem name and the WHERE clause ("" when absent).
+  struct RequestContext {
+    crowd::AuthedUser user;
+    std::string problem;
+    std::string where;
+  };
+  /// Runs the shared request prologue in order — api_key present, api_key
+  /// valid, problem present, and (with_where) where is a string — and
+  /// returns the context, or the error frame of the first failing check.
+  std::variant<RequestContext, json::Json> request_context(
+      const json::Json& request, bool with_where) const;
+
   json::Json handle_upload(const json::Json& request);
   json::Json handle_query(const json::Json& request);
   json::Json handle_explain(const json::Json& request);

@@ -428,18 +428,6 @@ TEST_F(RepoTest, SourceHistoriesGroupByTask) {
   EXPECT_EQ(histories[1].task()[0].as_int(), 8000);
 }
 
-TEST_F(RepoTest, SaveLoadRoundTrip) {
-  repo_.upload(alice_key_, "pdgeqrf", make_upload(4, 1.0));
-  const auto dir = std::filesystem::temp_directory_path() / "gptc_repo_test";
-  std::filesystem::remove_all(dir);
-  repo_.save(dir);
-  const SharedRepo loaded = SharedRepo::load(dir);
-  EXPECT_EQ(loaded.num_users(), 2u);
-  EXPECT_EQ(loaded.authenticate(alice_key_).value(), "alice");
-  EXPECT_EQ(loaded.num_records("pdgeqrf"), 1u);
-  std::filesystem::remove_all(dir);
-}
-
 TEST_F(RepoTest, QueryRequiresValidKey) {
   MetaDescription m = base_meta("not-a-key");
   EXPECT_THROW(repo_.query_function_evaluations(m), std::invalid_argument);
@@ -481,33 +469,45 @@ TEST(SharedRepoDurable, ReopenRecoversUsersKeysAndRecords) {
   EXPECT_TRUE(repo.store().find_collection("func_eval")->has_index("problem"));
 }
 
-TEST(SharedRepoDurable, MigratesLegacySaveDirectory) {
-  RepoDir dir("gptc_repo_durable_migrate");
-  std::string key;
+TEST(SharedRepoDurable, SeedAliasesNormalizeOnceAcrossReopens) {
+  // A durable repository carries the built-in tag aliases like an
+  // in-memory one: uploads are normalized ("cori" -> "Cori"), and reopening
+  // adds no second copy of the seed entries.
+  RepoDir dir("gptc_repo_durable_aliases");
+  std::size_t machines = 0, software = 0;
   {
-    SharedRepo legacy(7);
-    key = legacy.register_user("alice", "alice@lab.gov");
+    SharedRepo repo = SharedRepo::open_durable(dir.path);
+    const std::string key = repo.register_user("alice", "alice@lab.gov");
     EvalUpload e;
-    e.task_parameters = Json::parse(R"({"m":10000})");
-    e.tuning_parameters = Json::parse(R"({"mb":8})");
-    e.output = 2.0;
-    legacy.upload(key, "pdgeqrf", e);
-    legacy.save(dir.path);
+    e.tuning_parameters = Json::parse(R"({"mb":4})");
+    e.machine_configuration = Json::parse(R"({"machine_name":"cori"})");
+    e.output = 1.0;
+    repo.upload(key, "pdgeqrf", e);
+    machines = repo.store().find_collection("machines")->size();
+    software = repo.store().find_collection("software")->size();
+    const SharedRepo in_memory;
+    EXPECT_EQ(machines, in_memory.store().find_collection("machines")->size());
+    EXPECT_EQ(software, in_memory.store().find_collection("software")->size());
+    repo.sync();
   }
   SharedRepo repo = SharedRepo::open_durable(dir.path);
-  EXPECT_EQ(repo.authenticate(key).value(), "alice");
-  EXPECT_EQ(repo.num_records("pdgeqrf"), 1u);
-  // Migration checkpoints immediately: the engine owns the state now.
-  EXPECT_TRUE(std::filesystem::exists(dir.path / "func_eval.snapshot"));
+  EXPECT_EQ(repo.store().find_collection("machines")->size(), machines);
+  EXPECT_EQ(repo.store().find_collection("software")->size(), software);
+  const Json rec = repo.store().find_collection("func_eval")->all().at(0);
+  EXPECT_EQ(rec.at("machine_configuration").at("machine_name").as_string(),
+            "Cori");
+  EXPECT_EQ(repo.normalize_software("ScaLAPACK"), "scalapack");
 }
 
-TEST(SharedRepoDurable, LegacyFnvHashedKeysStillAuthenticate) {
-  // A repo directory written by an older build stores
-  // key_hash = std::to_string(rng::hash_tag(key)) with no hash_version.
-  RepoDir dir("gptc_repo_legacy_hash");
+TEST(SharedRepoDurable, UnversionedKeyDocNeverAuthenticates) {
+  // Only hash_version 2 (salted SipHash-2-4) key documents verify. A key
+  // document without a version, here carrying the unsalted FNV hash
+  // pre-engine builds stored, fails closed: it neither authenticates nor
+  // can be revoked.
+  RepoDir dir("gptc_repo_unversioned_key");
   const std::string old_key = "legacy-api-key-00001";
   {
-    db::DocumentStore store;
+    auto store = db::DocumentStore::open_durable(dir.path);
     Json user = Json::object();
     user["username"] = "veteran";
     user["email"] = "veteran@lab.gov";
@@ -517,17 +517,43 @@ TEST(SharedRepoDurable, LegacyFnvHashedKeysStillAuthenticate) {
     doc["key_hash"] = std::to_string(rng::hash_tag(old_key));
     doc["revoked"] = false;
     store.collection("api_keys").insert(std::move(doc));
-    store.export_json(dir.path);
+    store.sync();
   }
   SharedRepo repo = SharedRepo::open_durable(dir.path);
-  EXPECT_EQ(repo.authenticate(old_key).value(), "veteran");
-  // New keys issued alongside use the current salted format, and revoking
-  // the legacy key goes through the same versioned verification.
+  EXPECT_EQ(repo.num_users(), 1u);
+  EXPECT_FALSE(repo.authenticate(old_key).has_value());
+  EXPECT_FALSE(repo.revoke_api_key(old_key));
+  // A key issued now uses the current format and works alongside.
   const std::string fresh = repo.issue_api_key("veteran");
   EXPECT_EQ(repo.authenticate(fresh).value(), "veteran");
-  EXPECT_TRUE(repo.revoke_api_key(old_key));
-  EXPECT_FALSE(repo.authenticate(old_key).has_value());
-  EXPECT_EQ(repo.authenticate(fresh).value(), "veteran");
+}
+
+TEST(EvalUploadJson, MissingFieldsTakeWireDefaults) {
+  // The one decoder for upload records, shared by the server and crowdctl:
+  // a missing output is a failed run (NaN), the output name defaults to
+  // "runtime" and a missing accessibility means public.
+  const EvalUpload e =
+      EvalUpload::from_json(Json::parse(R"({"tuning_parameters":{"mb":4}})"));
+  EXPECT_TRUE(std::isnan(e.output));
+  EXPECT_EQ(e.output_name, "runtime");
+  EXPECT_EQ(e.accessibility.level, Accessibility::Level::Public);
+  EXPECT_TRUE(e.accessibility.shared_with.empty());
+  EXPECT_EQ(e.tuning_parameters.at("mb").as_int(), 4);
+  EXPECT_EQ(e.task_parameters, Json::object());
+  EXPECT_EQ(e.machine_configuration, Json::object());
+  EXPECT_EQ(e.software_configuration, Json::object());
+
+  const EvalUpload f = EvalUpload::from_json(Json::parse(
+      R"({"output":2.5,"output_name":"gflops",)"
+      R"("accessibility":{"shared_with":["bob"]}})"));
+  EXPECT_EQ(f.output, 2.5);
+  EXPECT_EQ(f.output_name, "gflops");
+  EXPECT_EQ(f.accessibility.level, Accessibility::Level::Shared);
+  ASSERT_EQ(f.accessibility.shared_with.size(), 1u);
+  EXPECT_EQ(f.accessibility.shared_with[0], "bob");
+  // A null (or otherwise non-numeric) output is a failed run as well.
+  EXPECT_TRUE(std::isnan(
+      EvalUpload::from_json(Json::parse(R"({"output":null})")).output));
 }
 
 TEST_F(RepoTest, QueriesByteIdenticalWithIndexesOn) {

@@ -1,0 +1,167 @@
+// Tests for the crowdctl command-line tool (tools/crowdctl.cpp), driven as
+// a separate process per command the way an operator uses it: every
+// directory command opens the repository on the storage engine, so what
+// one process registers or uploads must be there for the next. Also pins
+// the rejection of the removed --durable flag and the refusal of a
+// directory that only holds pre-engine JSON exports.
+//
+// The binary path is injected by tests/CMakeLists.txt as GPTC_CROWDCTL_BIN.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "db/document_store.hpp"
+
+namespace {
+
+namespace fs = std::filesystem;
+
+struct RunResult {
+  int exit_code = -1;
+  std::string output;  // stdout + stderr, interleaved
+};
+
+/// Runs crowdctl with the given arguments, capturing combined output and
+/// the exit status.
+RunResult crowdctl(const std::string& args) {
+  RunResult r;
+  const std::string command =
+      std::string(GPTC_CROWDCTL_BIN) + " " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = fread(buf, 1, sizeof(buf), pipe)) > 0) r.output.append(buf, got);
+  const int status = pclose(pipe);
+  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return r;
+}
+
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_(fs::temp_directory_path() / name) {
+    fs::remove_all(path_);
+    fs::create_directories(path_);
+  }
+  ~TempDir() { fs::remove_all(path_); }
+  const fs::path& path() const { return path_; }
+
+ private:
+  fs::path path_;
+};
+
+/// The API key `register` prints after "(shown once): ".
+std::string key_from(const RunResult& r) {
+  const std::string marker = "(shown once): ";
+  const std::size_t at = r.output.find(marker);
+  if (at == std::string::npos) return "";
+  std::istringstream rest(r.output.substr(at + marker.size()));
+  std::string key;
+  rest >> key;
+  return key;
+}
+
+TEST(Crowdctl, StateSurvivesEachProcess) {
+  TempDir dir("gptc_crowdctl_workflow");
+  const fs::path repo = dir.path() / "repo";
+  const fs::path records = dir.path() / "records.json";
+  std::ofstream(records)
+      << R"([{"task_parameters": {"m": 1000}, "tuning_parameters": {"mb": 4},)"
+      << R"( "output": 1.5},)"
+      << R"( {"task_parameters": {"m": 1000}, "tuning_parameters": {"mb": 8},)"
+      << R"( "output": 2.5, "machine_configuration": {"machine_name": "cori"}},)"
+      << R"( {"task_parameters": {"m": 1000}, "tuning_parameters": {"mb": 16}}])";
+
+  RunResult r = crowdctl(repo.string() + " register alice alice@lab.gov");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string key = key_from(r);
+  ASSERT_EQ(key.size(), 20u) << r.output;
+
+  r = crowdctl(repo.string() + " upload " + key + " pdgeqrf " +
+               records.string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("uploaded 3 record(s)"), std::string::npos)
+      << r.output;
+
+  r = crowdctl(repo.string() + " stats pdgeqrf");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("problem 'pdgeqrf': 3 record(s), 1 registered "
+                          "user(s)"),
+            std::string::npos)
+      << r.output;
+
+  r = crowdctl(repo.string() + " query " + key +
+               " pdgeqrf 'tuning_parameters.mb >= 8'");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("2 record(s)"), std::string::npos) << r.output;
+  // The alias table normalized the tag on upload.
+  EXPECT_NE(r.output.find(R"("machine_name":"Cori")"), std::string::npos)
+      << r.output;
+
+  // A second user and a second upload land on top of the reopened state.
+  r = crowdctl(repo.string() + " register bob bob@uni.edu");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(key_from(r), key);
+  r = crowdctl(repo.string() + " upload " + key + " pdgeqrf " +
+               records.string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  r = crowdctl(repo.string() + " stats pdgeqrf");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("problem 'pdgeqrf': 6 record(s), 2 registered "
+                          "user(s)"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(Crowdctl, ShardsOptionNeedsNoOtherFlag) {
+  TempDir dir("gptc_crowdctl_shards");
+  const fs::path repo = dir.path() / "repo";
+  const RunResult r = crowdctl("--shards 2 " + repo.string() + " stats p");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(repo / "engine.manifest");
+  std::ostringstream manifest;
+  manifest << in.rdbuf();
+  EXPECT_NE(manifest.str().find(R"("shards":2)"), std::string::npos)
+      << manifest.str();
+}
+
+TEST(Crowdctl, RemovedDurableFlagIsAUsageError) {
+  TempDir dir("gptc_crowdctl_durable_flag");
+  const fs::path repo = dir.path() / "repo";
+  const RunResult r = crowdctl("--durable " + repo.string() + " stats p");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("unknown option --durable"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage: crowdctl"), std::string::npos) << r.output;
+  EXPECT_FALSE(fs::exists(repo));
+}
+
+TEST(Crowdctl, RefusesDirectoryOfJsonExports) {
+  TempDir dir("gptc_crowdctl_json_export");
+  {
+    gptc::db::DocumentStore dump;
+    dump.collection("users").insert(
+        gptc::json::Json::parse(R"({"username":"alice"})"));
+    dump.export_json(dir.path());
+  }
+  const RunResult r = crowdctl(dir.path().string() + " stats p");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("users.json"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("pre-engine JSON exports are no longer imported"),
+            std::string::npos)
+      << r.output;
+  // Nothing was written next to the export.
+  std::size_t entries = 0;
+  for (const auto& e : fs::directory_iterator(dir.path())) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+}
+
+}  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 namespace gptc::db {
 namespace {
 
@@ -119,42 +117,6 @@ TEST(DocumentStoreTest, CollectionsCreatedOnDemand) {
   ASSERT_NE(store.find_collection("foo"), nullptr);
   EXPECT_EQ(store.find_collection("foo")->size(), 1u);
   EXPECT_EQ(store.collection_names().size(), 1u);
-}
-
-TEST(DocumentStoreTest, SaveLoadRoundTrip) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "gptc_store_test";
-  std::filesystem::remove_all(dir);
-
-  DocumentStore store;
-  store.collection("func_eval").insert(doc(R"({"runtime":1.5,"mb":4})"));
-  store.collection("func_eval").insert(doc(R"({"runtime":2.5,"mb":8})"));
-  store.collection("users").insert(doc(R"({"username":"alice"})"));
-  store.save(dir);
-
-  const DocumentStore loaded = DocumentStore::load(dir);
-  ASSERT_NE(loaded.find_collection("func_eval"), nullptr);
-  EXPECT_EQ(loaded.find_collection("func_eval")->size(), 2u);
-  EXPECT_EQ(loaded.find_collection("users")->size(), 1u);
-  // Ids continue from where they left off.
-  DocumentStore mutable_loaded = DocumentStore::load(dir);
-  const auto id =
-      mutable_loaded.collection("func_eval").insert(doc(R"({"runtime":9})"));
-  EXPECT_EQ(id, 3);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DocumentStoreTest, LoadMissingDirectoryGivesEmptyStore) {
-  const DocumentStore s = DocumentStore::load("/nonexistent/gptc/path");
-  EXPECT_TRUE(s.collection_names().empty());
-}
-
-TEST(CollectionJson, RoundTripPreservesNextId) {
-  Collection c("t");
-  c.insert(doc(R"({"a":1})"));
-  c.remove(doc(R"({"a":1})"));
-  Collection back = Collection::from_json(c.to_json());
-  EXPECT_EQ(back.insert(doc(R"({"b":2})")), 2);  // id 1 was consumed
 }
 
 // ---------------------------------------------------------------------------

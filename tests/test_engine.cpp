@@ -1,13 +1,14 @@
 // Storage-engine tests (src/db/engine/): WAL framing and torn-tail replay,
 // atomic snapshots, SipHash-2-4 reference vectors, ordered secondary
 // indexes (results byte-identical to a scan), durable open / checkpoint /
-// legacy-export migration, many-readers/one-writer concurrency, and the
-// crash-recovery property — for every injected fault point (each WAL
-// append, torn final record, before/after each snapshot rename), reopening
-// the store yields query results bitwise-identical to an uninterrupted
-// run's committed prefix.
+// refusal of pre-engine JSON exports, many-readers/one-writer concurrency,
+// and the crash-recovery property — for every injected fault point (each
+// WAL append, torn final record, before/after each snapshot rename),
+// reopening the store yields query results bitwise-identical to an
+// uninterrupted run's committed prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -489,26 +490,35 @@ TEST(DurableStore, ThresholdCheckpointCompactsWal) {
   EXPECT_EQ(reopened.collection("samples").size(), 64u);
 }
 
-TEST(DurableStore, MigratesLegacyJsonExportOnce) {
-  TempDir dir("gptc_engine_migrate");
+/// Sorted names of every entry in a directory.
+std::vector<std::string> listing(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(DurableStore, RefusesPreEngineJsonExport) {
+  // A directory holding only JSON exports predates the engine (or is a
+  // dump): opening it must not silently yield an empty repository, and
+  // the refusal must leave the directory exactly as it found it.
+  TempDir dir("gptc_engine_refuse_json");
   {
-    DocumentStore legacy;
-    legacy.collection("samples").insert(doc(R"({"k":1})"));
-    legacy.collection("samples").insert(doc(R"({"k":2})"));
-    legacy.export_json(dir.path());
+    DocumentStore dump;
+    dump.collection("samples").insert(doc(R"({"k":1})"));
+    dump.export_json(dir.path());
   }
-  {
-    auto store = DocumentStore::open_durable(dir.path(), test_options());
-    EXPECT_EQ(store.collection("samples").size(), 2u);
-    store.collection("samples").insert(doc(R"({"k":3})"));
-    // Migration snapshots immediately and retires the export, so the stale
-    // file can never be mistaken for the base state again.
-    EXPECT_TRUE(any_snapshot(dir.path(), "samples"));
-    EXPECT_FALSE(fs::exists(dir.path() / "samples.json"));
-    EXPECT_TRUE(fs::exists(dir.path() / "samples.json.migrated"));
+  const auto before = listing(dir.path());
+  try {
+    DocumentStore::open_durable(dir.path(), test_options());
+    FAIL() << "expected the JSON export to be refused";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("samples.json"), std::string::npos) << what;
+    EXPECT_NE(what.find("no longer imported"), std::string::npos) << what;
   }
-  auto store = DocumentStore::open_durable(dir.path(), test_options());
-  EXPECT_EQ(store.collection("samples").size(), 3u);
+  EXPECT_EQ(listing(dir.path()), before);
 }
 
 TEST(DurableStore, CorruptSnapshotRefusesToOpen) {
@@ -593,9 +603,11 @@ TEST(DurableStore, ExportJsonStaysAvailableForInspection) {
   auto store = DocumentStore::open_durable(dir.path(), test_options());
   store.collection("samples").insert(doc(R"({"k":1})"));
   store.export_json(exp.path());
-  const DocumentStore loaded = DocumentStore::load(exp.path());
-  ASSERT_NE(loaded.find_collection("samples"), nullptr);
-  EXPECT_EQ(loaded.find_collection("samples")->size(), 1u);
+  std::ifstream in(exp.path() / "samples.json");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(Json::parse(buf.str()),
+            store.find_collection("samples")->to_json());
 }
 
 TEST(DurableStore, KeyedWalChecksumRoundTrips) {

@@ -1,6 +1,6 @@
 // End-to-end integration test: the full crowd-tuning workflow of Fig. 1
-// across modules — simulate apps -> upload with environment metadata ->
-// persist the repository -> reload -> query via meta description -> feed
+// across modules — simulate apps -> upload with environment metadata into
+// a durable repository -> reopen it -> query via meta description -> feed
 // the TLA tuner -> sync new evaluations back.
 #include <gtest/gtest.h>
 
@@ -77,17 +77,17 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
   // --- Phase 1: Alice contributes crowd data and the repo is persisted ----
   std::string alice_key;
   {
-    crowd::SharedRepo repo(42);
+    crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_, 42);
     alice_key = repo.register_user("alice", "alice@lab.gov");
     const core::TaskHistory samples =
         core::collect_random_samples(problem_, source_task, 50, 9);
     upload_history(repo, alice_key, source_task, samples);
     ASSERT_EQ(repo.num_records("pdgeqrf"), 50u);
-    repo.save(dir_);
+    repo.sync();
   }
 
-  // --- Phase 2: Bob loads the repo, queries, and tunes with TLA ------------
-  crowd::SharedRepo repo = crowd::SharedRepo::load(dir_);
+  // --- Phase 2: Bob reopens the repo, queries, and tunes with TLA ----------
+  crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_);
   EXPECT_EQ(repo.authenticate(alice_key).value(), "alice");
   const std::string bob_key = repo.register_user("bob", "bob@uni.edu");
 
@@ -133,7 +133,7 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
 TEST_F(CrowdWorkflowTest, AccessControlSurvivesPersistence) {
   std::string alice_key, bob_key;
   {
-    crowd::SharedRepo repo(43);
+    crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_, 43);
     alice_key = repo.register_user("alice", "a@x");
     bob_key = repo.register_user("bob", "b@x");
     const Config task = {Value(std::int64_t{10000}),
@@ -148,9 +148,9 @@ TEST_F(CrowdWorkflowTest, AccessControlSurvivesPersistence) {
     priv.machine_configuration = machine_.machine_configuration(8);
     priv.accessibility.level = crowd::Accessibility::Level::Private;
     repo.upload(alice_key, "pdgeqrf", priv);
-    repo.save(dir_);
+    repo.sync();
   }
-  const crowd::SharedRepo repo = crowd::SharedRepo::load(dir_);
+  const crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_);
   EXPECT_EQ(repo.query_function_evaluations(make_meta(alice_key)).size(), 1u);
   EXPECT_EQ(repo.query_function_evaluations(make_meta(bob_key)).size(), 0u);
 }

@@ -218,6 +218,58 @@ TEST_F(NetTest, MissingApiKeyIsAuthError) {
   expect_alive();
 }
 
+TEST_F(NetTest, RequestPrologueErrorsAreTypedAndOrdered) {
+  // Every repository op validates the same head, in the same order:
+  // api_key present -> api_key valid -> problem present -> (query/explain)
+  // where is a string. Each row pins the error code and message the first
+  // failing check answers with.
+  start();
+  struct Row {
+    const char* request;  // "KEY" is replaced with a valid API key
+    const char* code;
+    const char* message;
+  };
+  const std::vector<Row> rows = {
+      {R"({"op":"upload"})", "auth", "missing api_key"},
+      {R"({"op":"upload","api_key":5,"problem":"p"})", "auth",
+       "missing api_key"},
+      {R"({"op":"upload","api_key":"nope","problem":"p"})", "auth",
+       "invalid or revoked API key"},
+      {R"({"op":"upload","api_key":"KEY"})", "bad_request",
+       "missing problem name"},
+      {R"({"op":"upload","api_key":"KEY","problem":"p","where":5})",
+       "bad_request", "records must be a non-empty array"},
+      {R"({"op":"query_evaluations"})", "auth", "missing api_key"},
+      {R"({"op":"query_evaluations","api_key":"nope"})", "auth",
+       "invalid or revoked API key"},
+      {R"({"op":"query_evaluations","api_key":"KEY","where":5})",
+       "bad_request", "missing problem name"},
+      {R"({"op":"query_evaluations","api_key":"KEY","problem":"p","where":5})",
+       "bad_request", "where must be a string"},
+      {R"({"op":"explain"})", "auth", "missing api_key"},
+      {R"({"op":"explain","api_key":"nope"})", "auth",
+       "invalid or revoked API key"},
+      {R"({"op":"explain","api_key":"KEY","where":5})", "bad_request",
+       "missing problem name"},
+      {R"({"op":"explain","api_key":"KEY","problem":"p","where":[]})",
+       "bad_request", "where must be a string"},
+  };
+  // Prologue errors are answered in-band: one connection serves the table.
+  Socket sock = raw_connect();
+  for (const Row& row : rows) {
+    std::string text = row.request;
+    const std::size_t at = text.find("KEY");
+    if (at != std::string::npos) text.replace(at, 3, api_key_);
+    const std::string frame = encode_frame(Json::parse(text));
+    ASSERT_EQ(sock.send_all(frame.data(), frame.size()), IoStatus::Ok);
+    const Json response = read_frame(sock);
+    EXPECT_EQ(error_code_of(response), row.code) << row.request;
+    EXPECT_EQ(response.at("error").at("message").as_string(), row.message)
+        << row.request;
+  }
+  expect_alive();
+}
+
 // ---------------------------------------------------------------------------
 // Malformed frames
 

@@ -2,9 +2,10 @@
 // (src/db/query).
 //
 // The compiler (CompiledQuery) must agree decision-for-decision with the
-// matches() reference interpreter — the randomized sweep here drives both
-// over the same documents and queries, covering missing paths, cross-type
-// comparisons, numeric array segments, and $in duplicate keys. On top of
+// oracle::matches() reference interpreter (query_oracle.hpp) — the
+// randomized sweep here drives both over the same documents and queries,
+// covering missing paths, cross-type comparisons, numeric array segments,
+// and $in duplicate keys. On top of
 // that: shard-count invariance (find() dumps are byte-identical at any
 // shard count, indexed or not), planner behaviour via Collection::explain
 // (narrowest index first, intersection, full-scan fallback), throw parity
@@ -23,6 +24,7 @@
 #include "db/document_store.hpp"
 #include "db/query/planner.hpp"
 #include "db/query/program.hpp"
+#include "query_oracle.hpp"
 
 namespace gptc::db {
 namespace {
@@ -156,7 +158,7 @@ TEST(CompiledQueryDifferential, RandomizedAgreesWithInterpreter) {
     const CompiledQuery cq = CompiledQuery::compile(q);
     for (int i = 0; i < 16; ++i) {
       const Json d = random_document(rng);
-      ASSERT_EQ(cq.eval(d), matches(d, q))
+      ASSERT_EQ(cq.eval(d), oracle::matches(d, q))
           << "query=" << q.dump() << " doc=" << d.dump();
       ++checked;
     }
@@ -207,7 +209,7 @@ TEST(CompiledQueryDifferential, TargetedEdgeCases) {
     const Json q = doc(c.query);
     const Json d = doc(c.document);
     const CompiledQuery cq = CompiledQuery::compile(q);
-    EXPECT_EQ(cq.eval(d), matches(d, q))
+    EXPECT_EQ(cq.eval(d), oracle::matches(d, q))
         << "query=" << c.query << " doc=" << c.document;
   }
 }
@@ -224,7 +226,7 @@ TEST(CompiledQuery, ThrowParityWithInterpreter) {
   {
     const Json q = doc(text);
     EXPECT_THROW(CompiledQuery::compile(q), json::JsonError) << text;
-    EXPECT_THROW(matches(d, q), json::JsonError) << text;
+    EXPECT_THROW(oracle::matches(d, q), json::JsonError) << text;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "crowd/repo.hpp"
 #include "db/document_store.hpp"
+#include "query_oracle.hpp"
 
 namespace gptc::crowd {
 namespace {
@@ -15,7 +16,7 @@ using json::Json;
 Json q(const char* text) { return parse_where_clause(text); }
 
 bool hit(const char* doc, const char* where) {
-  return db::matches(Json::parse(doc), q(where));
+  return db::oracle::matches(Json::parse(doc), q(where));
 }
 
 TEST(QueryLanguage, EmptyClauseMatchesEverything) {

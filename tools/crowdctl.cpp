@@ -7,33 +7,31 @@
 // repository directory — or, with --remote, against a running server.
 //
 // Usage:
-//   crowdctl [--durable] [--shards N] <repo-dir> register <username> <email>
-//   crowdctl [--durable] [--shards N] <repo-dir> upload <api-key> <problem> <records.json>
-//   crowdctl [--durable] [--shards N] <repo-dir> query <api-key> <problem> [<where-clause>]
-//   crowdctl [--durable] [--shards N] <repo-dir> explain <api-key> <problem> [<where-clause>]
-//   crowdctl [--durable] [--shards N] <repo-dir> stats <problem>
-//   crowdctl [--durable] [--shards N] <repo-dir> variability <api-key> <problem>
-//   crowdctl [--durable] [--shards N] <repo-dir> collections
-//   crowdctl [--durable] [--shards N] <repo-dir> serve <port> [<workers>]
+//   crowdctl [--shards N] <repo-dir> register <username> <email>
+//   crowdctl [--shards N] <repo-dir> upload <api-key> <problem> <records.json>
+//   crowdctl [--shards N] <repo-dir> query <api-key> <problem> [<where-clause>]
+//   crowdctl [--shards N] <repo-dir> explain <api-key> <problem> [<where-clause>]
+//   crowdctl [--shards N] <repo-dir> stats <problem>
+//   crowdctl [--shards N] <repo-dir> variability <api-key> <problem>
+//   crowdctl [--shards N] <repo-dir> collections
+//   crowdctl [--shards N] <repo-dir> serve <port> [<workers>]
 //   crowdctl --remote <host:port> upload <api-key> <problem> <records.json>
 //   crowdctl --remote <host:port> query <api-key> <problem> [<where-clause>]
 //   crowdctl --remote <host:port> explain <api-key> <problem> [<where-clause>]
 //   crowdctl --remote <host:port> health
 //   crowdctl --remote <host:port> stats
 //
-// --durable opens the directory on the storage engine (WAL + snapshots,
-// src/db/engine) instead of the diffable JSON export: every mutation is
-// crash-safe the moment the command returns, and a directory written
-// without the flag is migrated in place on first use. `serve` with
-// --durable additionally turns on async group commit, the mode the
-// server's upload ack path is designed for.
+// Every directory command opens the repository on the storage engine (WAL +
+// snapshots, src/db/engine): each mutation is crash-safe the moment the
+// command returns. `serve` additionally turns on async group commit, the
+// mode the server's upload ack path is designed for. A directory holding
+// only pre-engine JSON exports is refused, not imported.
 //
-// --shards N (with --durable) opens every collection split into N shards,
-// each with its own WAL/snapshot — more concurrent writers, parallel
-// recovery. A directory holding a different shard count is migrated in
-// place on open (crash-safe: the layout flips atomically through
-// engine.manifest). Without the flag the directory keeps whatever count it
-// was written with.
+// --shards N opens every collection split into N shards, each with its own
+// WAL/snapshot — more concurrent writers, parallel recovery. A directory
+// holding a different shard count is migrated in place on open (crash-safe:
+// the layout flips atomically through engine.manifest). Without the flag
+// the directory keeps whatever count it was written with.
 //
 // The records.json file holds an array of objects:
 //   [{"task_parameters": {...}, "tuning_parameters": {...},
@@ -56,7 +54,7 @@ namespace {
 
 int usage() {
   std::cerr <<
-      "usage: crowdctl [--durable] <repo-dir> <command> [args]\n"
+      "usage: crowdctl [--shards N] <repo-dir> <command> [args]\n"
       "       crowdctl --remote <host:port> <command> [args]\n"
       "  register <username> <email>          create a user, print API key\n"
       "  upload <api-key> <problem> <file>    upload a JSON array of records\n"
@@ -70,9 +68,8 @@ int usage() {
       "  serve <port> [workers]               serve the repo over TCP\n"
       "remote commands: upload, query, explain, health, stats\n"
       "options:\n"
-      "  --durable    open on the WAL+snapshot storage engine (crash-safe)\n"
-      "  --shards N   with --durable: N shards (WALs) per collection;\n"
-      "               migrates the directory if it holds a different count\n"
+      "  --shards N   N shards (WALs) per collection; migrates the\n"
+      "               directory if it holds a different count\n"
       "  --remote     talk to a crowdctl serve instance instead of a dir\n";
   return 2;
 }
@@ -83,25 +80,6 @@ Json load_json_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return Json::parse(buf.str());
-}
-
-/// Maps one wire/file record object onto an EvalUpload (shared between
-/// the local and --remote upload commands).
-crowd::EvalUpload eval_from_record(const Json& r) {
-  crowd::EvalUpload e;
-  e.task_parameters = r.get_or("task_parameters", Json::object());
-  e.tuning_parameters = r.get_or("tuning_parameters", Json::object());
-  const Json name = r.get_or("output_name", Json("runtime"));
-  e.output_name = name.as_string();
-  const Json out = r.get_or("output", Json(nullptr));
-  e.output = out.is_number() ? out.as_double()
-                             : std::numeric_limits<double>::quiet_NaN();
-  e.machine_configuration = r.get_or("machine_configuration", Json::object());
-  e.software_configuration =
-      r.get_or("software_configuration", Json::object());
-  e.accessibility =
-      crowd::Accessibility::from_json(r.get_or("accessibility", Json("public")));
-  return e;
 }
 
 /// Renders SharedRepo::explain_where()'s report (same shape locally and over
@@ -168,7 +146,7 @@ int run_remote(int argc, char** argv) {
     const Json records = load_json_file(argv[6]);
     std::vector<crowd::EvalUpload> evals;
     for (const auto& r : records.as_array()) {
-      evals.push_back(eval_from_record(r));
+      evals.push_back(crowd::EvalUpload::from_json(r));
     }
     const auto ids = client.upload(argv[4], argv[5], evals);
     std::cout << "uploaded " << ids.size() << " record(s) to problem '"
@@ -192,9 +170,9 @@ int run_remote(int argc, char** argv) {
   return usage();
 }
 
-int run_serve(const std::string& dir, bool durable, std::size_t shards,
-              int argc, char** argv) {
-  // argv: crowdctl [--durable] <dir> serve <port> [<workers>]
+int run_serve(const std::string& dir, std::size_t shards, int argc,
+              char** argv) {
+  // argv: crowdctl <dir> serve <port> [<workers>]
   if (argc != 4 && argc != 5) return usage();
   const int port = std::stoi(argv[3]);
   if (port < 0 || port > 65535) {
@@ -214,8 +192,7 @@ int run_serve(const std::string& dir, bool durable, std::size_t shards,
   eo.async_commit = true;  // the upload ack path batches fsyncs
   eo.shards = shards;      // 0 = keep the directory's count
   crowd::SharedRepo repo =
-      durable ? crowd::SharedRepo::open_durable(dir, 0x6a09e667f3bcc908ULL, eo)
-              : crowd::SharedRepo::load(dir);
+      crowd::SharedRepo::open_durable(dir, 0x6a09e667f3bcc908ULL, eo);
 
   net::ServerOptions so;
   so.port = static_cast<std::uint16_t>(port);
@@ -223,15 +200,13 @@ int run_serve(const std::string& dir, bool durable, std::size_t shards,
   net::CrowdServer server(repo, so);
   server.start();
   std::cout << "crowdctl: serving '" << dir << "' on " << so.bind_address
-            << ":" << server.port() << " (" << so.workers << " worker(s), "
-            << (durable ? "durable, async group commit" : "in-memory")
-            << "); Ctrl-C to drain and stop\n";
+            << ":" << server.port() << " (" << so.workers
+            << " worker(s), async group commit); Ctrl-C to drain and stop\n";
 
   int sig = 0;
   sigwait(&sigs, &sig);
   std::cout << "crowdctl: signal " << sig << " received, draining...\n";
   server.stop();
-  if (!durable) repo.save(dir);
   std::cout << "crowdctl: stopped\n";
   return 0;
 }
@@ -240,15 +215,10 @@ int run(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--remote") {
     return run_remote(argc, argv);
   }
-  bool durable = false;
   std::size_t shards = 0;  // 0 = keep the directory's count
   while (argc >= 2) {
     const std::string flag = argv[1];
-    if (flag == "--durable") {
-      durable = true;
-      ++argv;
-      --argc;
-    } else if (flag == "--shards") {
+    if (flag == "--shards") {
       if (argc < 3) return usage();
       const int n = std::stoi(argv[2]);
       if (n < 1) {
@@ -258,38 +228,30 @@ int run(int argc, char** argv) {
       shards = static_cast<std::size_t>(n);
       argv += 2;
       argc -= 2;
+    } else if (flag.rfind("--", 0) == 0) {
+      std::cerr << "crowdctl: unknown option " << flag << "\n";
+      return usage();
     } else {
       break;
     }
-  }
-  if (shards != 0 && !durable) {
-    std::cerr << "crowdctl: --shards requires --durable\n";
-    return 2;
   }
   if (argc < 3) return usage();
   const std::string dir = argv[1];
   const std::string command = argv[2];
 
-  if (command == "serve") return run_serve(dir, durable, shards, argc, argv);
+  if (command == "serve") return run_serve(dir, shards, argc, argv);
 
-  // Durable mode persists every mutation through the WAL as it happens;
-  // legacy mode mutates in memory and relies on the explicit save() below.
+  // Every mutation is WAL-logged as it happens; sync() fsyncs the WALs
+  // before a mutating command reports success.
   db::engine::EngineOptions eo;
   eo.shards = shards;
   crowd::SharedRepo repo =
-      durable ? crowd::SharedRepo::open_durable(dir, 0x6a09e667f3bcc908ULL, eo)
-              : crowd::SharedRepo::load(dir);
-  const auto persist = [&] {
-    if (durable)
-      repo.sync();
-    else
-      repo.save(dir);
-  };
+      crowd::SharedRepo::open_durable(dir, 0x6a09e667f3bcc908ULL, eo);
 
   if (command == "register") {
     if (argc != 5) return usage();
     const std::string key = repo.register_user(argv[3], argv[4]);
-    persist();
+    repo.sync();
     std::cout << "user '" << argv[3]
               << "' registered; API key (shown once): " << key << "\n";
     return 0;
@@ -299,10 +261,10 @@ int run(int argc, char** argv) {
     const Json records = load_json_file(argv[5]);
     std::size_t count = 0;
     for (const auto& r : records.as_array()) {
-      repo.upload(argv[3], argv[4], eval_from_record(r));
+      repo.upload(argv[3], argv[4], crowd::EvalUpload::from_json(r));
       ++count;
     }
-    persist();
+    repo.sync();
     std::cout << "uploaded " << count << " record(s) to problem '" << argv[4]
               << "'\n";
     return 0;
