@@ -175,7 +175,7 @@ std::optional<std::string> SharedRepo::authenticate(
   // salt), so verification walks the key documents in insertion order —
   // the collection holds one document per issued key, not per record.
   std::optional<std::string> user;
-  keys->for_each([&](const Json& doc) {
+  keys->visit(Json::object(), [&](const Json& doc) {
     if (doc.get_or("revoked", Json(false)).as_bool()) return true;
     if (key_doc_matches(doc, api_key)) {
       user = doc.at("username").as_string();
@@ -200,7 +200,7 @@ std::uint64_t SharedRepo::auth_hash_invocations() {
 bool SharedRepo::revoke_api_key(const std::string& api_key) {
   auto& keys = store_.collection("api_keys");
   std::int64_t id = -1;
-  keys.for_each([&](const Json& doc) {
+  keys.visit(Json::object(), [&](const Json& doc) {
     if (doc.get_or("revoked", Json(false)).as_bool()) return true;
     if (key_doc_matches(doc, api_key)) {
       id = doc.at("_id").as_int();
@@ -253,7 +253,7 @@ std::string normalize_with(const db::Collection* table,
   if (!table) return tag;
   const std::string needle = lower(tag);
   std::string canonical;
-  table->for_each([&](const Json& doc) {
+  table->visit(Json::object(), [&](const Json& doc) {
     if (lower(doc.at("canonical").as_string()) == needle) {
       canonical = doc.at("canonical").as_string();
       return false;
@@ -570,14 +570,13 @@ std::vector<Json> SharedRepo::query_function_evaluations(
   // default indexes declared this is an index lookup instead of a full
   // scan, and results come back in insertion order either way, so they
   // are byte-identical with indexes on or off. The visibility and meta
-  // filters run inside the collection's shared lock via find_filtered so
-  // only actual hits are copied out — find() would materialise the whole
-  // problem partition first, which dominates query latency once the
-  // partition is large relative to the hit count.
+  // filters run inside the visit, so only actual hits are copied out.
   Json q = Json::object();
   q["problem"] = meta.tuning_problem_name;
-  out = evals->find_filtered(q, [&](const Json& record) {
-    return record_visible(record, user) && record_matches_meta(record, meta);
+  evals->visit(q, [&](const Json& record) {
+    if (record_visible(record, user) && record_matches_meta(record, meta))
+      out.push_back(record);
+    return true;
   });
   return out;
 }
@@ -590,25 +589,35 @@ std::vector<Json> SharedRepo::query_where(const std::string& api_key,
   return query_where(*user, problem_name, where_clause);
 }
 
-std::vector<Json> SharedRepo::query_where(const AuthedUser& authed,
+std::vector<Json> SharedRepo::query_where(const AuthedUser& user,
                                           const std::string& problem_name,
                                           std::string_view where_clause) const {
+  std::vector<Json> out;
+  visit_where(user, problem_name, where_clause, [&](const Json& record) {
+    out.push_back(record);
+    return true;
+  });
+  return out;
+}
+
+void SharedRepo::visit_where(
+    const AuthedUser& authed, const std::string& problem_name,
+    std::string_view where_clause,
+    const std::function<bool(const Json&)>& fn) const {
   const std::string& user = authed.username();
   const Json condition = parse_where_clause(where_clause);
   const auto* evals = store_.find_collection("func_eval");
-  std::vector<Json> out;
-  if (!evals) return out;
+  if (!evals) return;
   // The WHERE condition goes INTO the planned query rather than running as
   // a post-predicate: the planner then sees every conjunct, so an indexed
   // tuning/task parameter narrows the candidate set below the whole
   // problem partition. Wrapping in $and keeps the merge collision-free
   // (the clause may itself constrain "problem") with an identical match
   // set, so results stay byte-for-byte those of the post-filter form.
-  out = evals->find_filtered(planned_where(problem_name, condition),
-                             [&](const Json& record) {
-                               return record_visible(record, user);
-                             });
-  return out;
+  evals->visit(planned_where(problem_name, condition),
+               [&](const Json& record) {
+                 return !record_visible(record, user) || fn(record);
+               });
 }
 
 Json SharedRepo::planned_where(const std::string& problem_name,
@@ -789,11 +798,11 @@ void SharedRepo::declare_default_indexes() {
   // Per-problem parameter indexes, re-declared from the persisted problem
   // descriptors (index definitions are in-memory only). Paths are collected
   // first: create_index takes func_eval's shard writer locks and must not
-  // run inside for_each's reader locks on `problems`.
+  // run inside visit's reader locks on `problems`.
   const auto* problems = store_.find_collection("problems");
   if (!problems) return;
   std::vector<std::string> paths;
-  problems->for_each([&](const Json& doc) {
+  problems->visit(Json::object(), [&](const Json& doc) {
     collect_index_paths(doc, paths);
     return true;
   });

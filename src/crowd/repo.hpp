@@ -18,6 +18,7 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -191,6 +192,14 @@ class SharedRepo {
                                       const std::string& problem_name,
                                       std::string_view where_clause) const;
 
+  /// query_where without the copies: calls `fn` on each visible matching
+  /// record, in insertion order, inside the store's reader locks (see
+  /// db::Collection::visit — `fn` must not call into the repository or
+  /// block). Returning false ends the visit.
+  void visit_where(const AuthedUser& user, const std::string& problem_name,
+                   std::string_view where_clause,
+                   const std::function<bool(const json::Json&)>& fn) const;
+
   /// Query-plan introspection for a WHERE clause: parses and plans exactly
   /// the query query_where() would run and returns Collection::explain()'s
   /// report (per shard: index scan or full scan, every considered index
@@ -296,7 +305,7 @@ class SharedRepo {
   UploadReceipt upload_records(const std::string& user,
                                const std::string& problem_name,
                                std::vector<json::Json> records);
-  /// The query find_filtered actually plans for a WHERE clause:
+  /// The query visit_where actually plans for a WHERE clause:
   /// {"problem": name, "$and": [condition]} — collision-free merge with an
   /// identical match set, and the planner sees the clause's conjuncts.
   static json::Json planned_where(const std::string& problem_name,

@@ -45,12 +45,15 @@
 // full scan; count()/exists() additionally answer straight from the index
 // (no document materialization) when the index serves the query exactly.
 //
-// Queries execute as compiled programs (src/db/query): find/count/exists/
-// update/remove lower the filter once into a flat program over pre-split
-// paths, then a selectivity-aware planner (query::plan_shard) ranks every
-// usable index by estimated candidate count, materializes the narrowest
-// and intersects further id lists while profitable. explain() reports the
-// chosen plan.
+// One read primitive: visit(query, fn) calls fn on every match in
+// insertion order, in place, under the shard reader locks — fn must not
+// call into the collection or block. find() is its copying wrapper, and
+// count()/exists() use it whenever no index answers them alone. Queries
+// execute as compiled programs (src/db/query): visit/update/remove lower
+// the filter once into a flat program over pre-split paths, then a
+// selectivity-aware planner (query::plan_shard) ranks every usable index
+// by estimated candidate count, materializes the narrowest and intersects
+// further id lists while profitable. explain() reports the chosen plan.
 #pragma once
 
 #include <atomic>
@@ -115,20 +118,17 @@ class Collection {
   /// mutation if a document is not an object.
   BatchInsert insert_batch(std::vector<Json> documents);
 
-  /// All documents matching the query, in insertion order.
+  /// The one read primitive: calls `fn` on every document matching the
+  /// query, in insertion (= global _id) order, without copying it. The
+  /// query compiles once (a malformed one throws before any call) and is
+  /// planned per shard; `fn` runs under every shard's reader lock, so it
+  /// must neither call back into the collection nor block. Returning false
+  /// from `fn` ends the visit.
+  void visit(const Json& query,
+             const std::function<bool(const Json&)>& fn) const;
+
+  /// Copies of all documents matching the query, in insertion order.
   std::vector<Json> find(const Json& query) const;
-
-  /// Like find(), but additionally applies `pred` to each query match
-  /// while still holding the shared lock(s), copying only documents that
-  /// pass both. Callers filtering an indexed partition down to a few
-  /// hits avoid materialising the whole partition (find() copies every
-  /// candidate's JSON tree; on hot read paths that copy dominates the
-  /// query cost). `pred` must not call back into the collection.
-  std::vector<Json> find_filtered(
-      const Json& query, const std::function<bool(const Json&)>& pred) const;
-
-  /// First match or null Json.
-  Json find_one(const Json& query) const;
 
   /// Matching-document count. Served index-only — without touching a
   /// single document — when the query is one indexed field whose condition
@@ -167,16 +167,6 @@ class Collection {
   void create_index(const std::string& path);
   bool has_index(const std::string& path) const;
   std::vector<std::string> index_paths() const;
-
-  /// Copies every document, in insertion order. (Pre-sharding this
-  /// returned a reference into the single doc vector; with shards the
-  /// merged view has to be materialized.)
-  std::vector<Json> all() const;
-
-  /// Visits every document in insertion order under the shard reader
-  /// locks, without copying; `fn` returns false to stop early and must not
-  /// call back into the collection.
-  void for_each(const std::function<bool(const Json&)>& fn) const;
 
   /// The export/snapshot shape: {"name":..., "next_id":..., "docs":[...]}
   /// with docs merged across shards in insertion order. Takes the shard
@@ -239,9 +229,6 @@ class Collection {
   const engine::OrderedIndex* exact_index(const Shard& s,
                                           const Json& query,
                                           const Json** condition) const;
-  /// Merges per-shard result vectors (each in ascending-id order) into
-  /// global insertion order.
-  static std::vector<Json> merge_by_id(std::vector<std::vector<Json>> parts);
   /// Routes an already-built per-shard op set through the engine's logical
   /// commit record (durable) and applies it; `apply` runs under all
   /// affected shard writer locks.

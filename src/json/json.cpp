@@ -133,9 +133,19 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
+/// True for the bytes a JSON string cannot hold raw: '"', '\\' and the
+/// control characters below 0x20.
+bool needs_escape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
 void write_escaped(const std::string& s, std::string& out) {
   out += '"';
-  for (unsigned char c : s) {
+  // Runs without escapes are appended in bulk, one append per run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (!needs_escape(c)) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -144,17 +154,22 @@ void write_escaped(const std::string& s, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
+}
+
+void write_int(std::int64_t v, std::string& out) {
+  std::array<char, 24> buf{};
+  const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  (void)ec;  // 24 bytes hold every int64
+  out.append(buf.data(), ptr);
 }
 
 void write_double(double d, std::string& out) {
@@ -183,7 +198,7 @@ void dump_impl(const Json& j, int indent, int depth, std::string& out) {
   switch (j.type()) {
     case Json::Type::Null: out += "null"; break;
     case Json::Type::Bool: out += j.as_bool() ? "true" : "false"; break;
-    case Json::Type::Int: out += std::to_string(j.as_int()); break;
+    case Json::Type::Int: write_int(j.as_int(), out); break;
     case Json::Type::Double: write_double(j.as_double(), out); break;
     case Json::Type::String: write_escaped(j.as_string(), out); break;
     case Json::Type::Array: {
@@ -232,6 +247,8 @@ std::string Json::dump(int indent) const {
   dump_impl(*this, indent, 0, out);
   return out;
 }
+
+void Json::dump_to(std::string& out) const { dump_impl(*this, -1, 0, out); }
 
 // ---------------------------------------------------------------------------
 // Parser
@@ -328,7 +345,12 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value();
+      // Our writer emits keys in ascending order: append those at the end
+      // in O(1); anything else takes the map's insert, duplicates last-wins.
+      if (obj.empty() || obj.rbegin()->first < key)
+        obj.emplace_hint(obj.end(), std::move(key), parse_value());
+      else
+        obj[std::move(key)] = parse_value();
       skip_ws();
       const char c = next();
       if (c == '}') break;
@@ -394,14 +416,15 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Runs without escapes are appended in bulk, one append per run.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20)
+        ++pos_;
+      out.append(text_, run, pos_ - run);
       const char c = next();
       if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char e = next();
       switch (e) {
         case '"': out += '"'; break;

@@ -127,6 +127,10 @@ class Json {
   /// with that many spaces per level.
   std::string dump(int indent = -1) const;
 
+  /// Appends the compact serialization (dump()'s bytes) to `out`, so a
+  /// caller can build a larger buffer without an intermediate string.
+  void dump_to(std::string& out) const;
+
   /// Parses a complete JSON document; trailing non-whitespace is an error.
   static Json parse(std::string_view text);
 

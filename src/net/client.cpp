@@ -46,7 +46,9 @@ json::Json CrowdClient::call(const json::Json& request) {
   }
   const json::Json ok = response.get_or("ok", json::Json(false));
   if (ok.is_bool() && ok.as_bool()) {
-    return response.get_or("result", json::Json::object());
+    // Moved, not copied: a query result holds the whole record set.
+    json::Json& result = response["result"];
+    return result.is_null() ? json::Json::object() : std::move(result);
   }
   const json::Json err = response.get_or("error", json::Json::object());
   const std::string code_name =

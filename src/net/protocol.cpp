@@ -45,11 +45,37 @@ std::string encode_header(std::uint32_t payload_size) {
   return h;
 }
 
+namespace {
+
+/// Writes the header of a frame built in place: kHeaderSize placeholder
+/// bytes followed by the complete payload.
+void seal_frame(std::string& frame) {
+  const std::string header =
+      encode_header(static_cast<std::uint32_t>(frame.size() - kHeaderSize));
+  frame.replace(0, kHeaderSize, header);
+}
+
+}  // namespace
+
 std::string encode_frame(const json::Json& payload) {
-  const std::string body = payload.dump();
-  std::string frame =
-      encode_header(static_cast<std::uint32_t>(body.size()));
-  frame += body;
+  std::string frame(kHeaderSize, '\0');
+  payload.dump_to(frame);
+  seal_frame(frame);
+  return frame;
+}
+
+std::string encode_records_frame(std::size_t count,
+                                 std::string_view records) {
+  // make_result's keys in the writer's sorted order: "ok" < "result",
+  // "count" < "records".
+  const std::string head = R"({"ok":true,"result":{"count":)" +
+                           std::to_string(count) + R"(,"records":[)";
+  std::string frame(kHeaderSize, '\0');
+  frame.reserve(kHeaderSize + head.size() + records.size() + 3);
+  frame += head;
+  frame += records;
+  frame += "]}}";
+  seal_frame(frame);
   return frame;
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "json/json.hpp"
 
@@ -58,8 +59,14 @@ std::optional<ErrorCode> parse_error_code(const std::string& name);
 /// Serializes a frame header for a payload of `payload_size` bytes.
 std::string encode_header(std::uint32_t payload_size);
 
-/// Encodes one complete frame (header + compact JSON payload).
+/// Encodes one complete frame (header + compact JSON payload). The payload
+/// is serialized straight into the frame buffer.
 std::string encode_frame(const json::Json& payload);
+
+/// The query response frame without a result tree: byte-identical to
+/// encode_frame(make_result({"count": count, "records": [...]})) given the
+/// records already serialized as comma-separated compact JSON.
+std::string encode_records_frame(std::size_t count, std::string_view records);
 
 /// Outcome of decoding a 12-byte header buffer.
 struct DecodedHeader {

@@ -96,9 +96,9 @@ void CrowdServer::accept_loop() noexcept {
       // Admission control: at the cap, answer with a typed error and
       // close. Best effort — never stall the accept loop on a slow peer.
       rejected_.fetch_add(1);
-      const std::string frame = encode_frame(
-          make_error(ErrorCode::Overloaded, "server connection cap reached"));
-      sock.send_all(frame.data(), frame.size());
+      const Reply reply =
+          error_reply(ErrorCode::Overloaded, "server connection cap reached");
+      sock.send_all(reply.frame.data(), reply.frame.size());
       continue;  // Socket dtor closes
     }
 
@@ -157,11 +157,10 @@ void CrowdServer::serve_connection(Socket sock) noexcept {
         if (st != IoStatus::Ok) break;
       }
 
-      json::Json response;
+      Reply reply;
       bool close_after = false;
       if (stopping_.load()) {
-        response =
-            make_error(ErrorCode::ShuttingDown, "server is draining");
+        reply = error_reply(ErrorCode::ShuttingDown, "server is draining");
         close_after = true;
       } else {
         json::Json request;
@@ -170,20 +169,15 @@ void CrowdServer::serve_connection(Socket sock) noexcept {
           request = json::Json::parse(body);
           parsed = true;
         } catch (const json::JsonError& e) {
-          response = make_error(ErrorCode::BadJson, e.what());
+          reply = error_reply(ErrorCode::BadJson, e.what());
         }
-        if (parsed) response = dispatch(request);
+        if (parsed) reply = dispatch(request);
       }
 
-      const json::Json ok = response.get_or("ok", json::Json(false));
-      if (ok.is_bool() && ok.as_bool()) {
-        requests_ok_.fetch_add(1);
-      } else {
-        requests_error_.fetch_add(1);
-      }
-
-      const std::string frame = encode_frame(response);
-      if (sock.send_all(frame.data(), frame.size()) != IoStatus::Ok) break;
+      (reply.ok ? requests_ok_ : requests_error_).fetch_add(1);
+      if (sock.send_all(reply.frame.data(), reply.frame.size()) !=
+          IoStatus::Ok)
+        break;
       if (close_after) break;
     }
   } catch (...) {
@@ -199,82 +193,91 @@ void CrowdServer::serve_connection(Socket sock) noexcept {
   untrack_connection(fd);
 }
 
-json::Json CrowdServer::dispatch(const json::Json& request) {
+CrowdServer::Reply CrowdServer::ok_reply(json::Json result) {
+  return {encode_frame(make_result(std::move(result))), true};
+}
+
+CrowdServer::Reply CrowdServer::error_reply(ErrorCode code,
+                                            const std::string& message) {
+  return {encode_frame(make_error(code, message)), false};
+}
+
+CrowdServer::Reply CrowdServer::dispatch(const json::Json& request) {
   try {
     if (!request.is_object()) {
-      return make_error(ErrorCode::BadRequest,
-                        "request must be a JSON object");
+      return error_reply(ErrorCode::BadRequest,
+                         "request must be a JSON object");
     }
     const json::Json op = request.get_or("op", json::Json(nullptr));
     if (!op.is_string()) {
-      return make_error(ErrorCode::BadRequest, "missing \"op\" field");
+      return error_reply(ErrorCode::BadRequest, "missing \"op\" field");
     }
     const std::string& name = op.as_string();
     if (name == "health") {
       json::Json r = json::Json::object();
       r["status"] = "ok";
-      return make_result(std::move(r));
+      return ok_reply(std::move(r));
     }
-    if (name == "stats") return make_result(stats_json());
+    if (name == "stats") return ok_reply(stats_json());
     if (name == "upload") return handle_upload(request);
     if (name == "query_evaluations") return handle_query(request);
     if (name == "explain") return handle_explain(request);
-    return make_error(ErrorCode::BadRequest, "unknown op: " + name);
+    return error_reply(ErrorCode::BadRequest, "unknown op: " + name);
   } catch (const json::JsonError& e) {
-    return make_error(ErrorCode::BadRequest, e.what());
+    return error_reply(ErrorCode::BadRequest, e.what());
   } catch (const std::exception& e) {
-    return make_error(ErrorCode::Internal, e.what());
+    return error_reply(ErrorCode::Internal, e.what());
   }
 }
 
-std::variant<CrowdServer::RequestContext, json::Json>
+std::variant<CrowdServer::RequestContext, CrowdServer::Reply>
 CrowdServer::request_context(const json::Json& request,
                              bool with_where) const {
   const json::Json key = request.get_or("api_key", json::Json(nullptr));
   if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
+    return error_reply(ErrorCode::Auth, "missing api_key");
   }
   std::optional<crowd::AuthedUser> user =
       repo_.authenticate_user(key.as_string());
   if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
+    return error_reply(ErrorCode::Auth, "invalid or revoked API key");
   }
   const json::Json problem = request.get_or("problem", json::Json(nullptr));
   if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
+    return error_reply(ErrorCode::BadRequest, "missing problem name");
   }
   RequestContext ctx{std::move(*user), problem.as_string(), ""};
   if (with_where) {
     const json::Json where = request.get_or("where", json::Json(""));
     if (!where.is_string()) {
-      return make_error(ErrorCode::BadRequest, "where must be a string");
+      return error_reply(ErrorCode::BadRequest, "where must be a string");
     }
     ctx.where = where.as_string();
   }
   return ctx;
 }
 
-json::Json CrowdServer::handle_upload(const json::Json& request) {
+CrowdServer::Reply CrowdServer::handle_upload(const json::Json& request) {
   auto head = request_context(request, /*with_where=*/false);
-  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  if (auto* error = std::get_if<Reply>(&head)) return std::move(*error);
   const RequestContext& ctx = std::get<RequestContext>(head);
   const json::Json records = request.get_or("records", json::Json(nullptr));
   if (!records.is_array() || records.as_array().empty()) {
-    return make_error(ErrorCode::BadRequest,
-                      "records must be a non-empty array");
+    return error_reply(ErrorCode::BadRequest,
+                       "records must be a non-empty array");
   }
   std::vector<crowd::EvalUpload> evals;
   evals.reserve(records.as_array().size());
   for (const json::Json& r : records.as_array()) {
     if (!r.is_object()) {
-      return make_error(ErrorCode::BadRequest,
-                        "each record must be a JSON object");
+      return error_reply(ErrorCode::BadRequest,
+                         "each record must be a JSON object");
     }
     try {
       evals.push_back(crowd::EvalUpload::from_json(r));
     } catch (const std::exception& e) {
-      return make_error(ErrorCode::BadRequest,
-                        std::string("bad record: ") + e.what());
+      return error_reply(ErrorCode::BadRequest,
+                         std::string("bad record: ") + e.what());
     }
   }
 
@@ -293,35 +296,40 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
   json::Json r = json::Json::object();
   r["ids"] = std::move(ids);
   r["count"] = static_cast<std::int64_t>(receipt.ids.size());
-  return make_result(std::move(r));
+  return ok_reply(std::move(r));
 }
 
-json::Json CrowdServer::handle_query(const json::Json& request) {
+CrowdServer::Reply CrowdServer::handle_query(const json::Json& request) {
   auto head = request_context(request, /*with_where=*/true);
-  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  if (auto* error = std::get_if<Reply>(&head)) return std::move(*error);
   const RequestContext& ctx = std::get<RequestContext>(head);
-  std::vector<json::Json> found;
+  // Only the shard reader locks are held while records serialize; the
+  // socket write happens after the visit returns.
+  std::string records;
+  std::size_t count = 0;
   try {
-    found = repo_.query_where(ctx.user, ctx.problem, ctx.where);
+    repo_.visit_where(ctx.user, ctx.problem, ctx.where,
+                      [&](const json::Json& record) {
+                        if (count++ > 0) records += ',';
+                        record.dump_to(records);
+                        return true;
+                      });
   } catch (const crowd::QueryParseError& e) {
-    return make_error(ErrorCode::BadRequest, e.what());
+    return error_reply(ErrorCode::BadRequest, e.what());
   }
-  json::Json arr = json::Json::array();
-  for (json::Json& rec : found) arr.as_array().push_back(std::move(rec));
-  json::Json r = json::Json::object();
-  r["records"] = std::move(arr);
-  r["count"] = static_cast<std::int64_t>(found.size());
-  return make_result(std::move(r));
+  // The count precedes the records in the payload, so they are spliced
+  // in once the visit has counted them.
+  return {encode_records_frame(count, records), true};
 }
 
-json::Json CrowdServer::handle_explain(const json::Json& request) {
+CrowdServer::Reply CrowdServer::handle_explain(const json::Json& request) {
   auto head = request_context(request, /*with_where=*/true);
-  if (auto* error = std::get_if<json::Json>(&head)) return std::move(*error);
+  if (auto* error = std::get_if<Reply>(&head)) return std::move(*error);
   const RequestContext& ctx = std::get<RequestContext>(head);
   try {
-    return make_result(repo_.explain_where(ctx.user, ctx.problem, ctx.where));
+    return ok_reply(repo_.explain_where(ctx.user, ctx.problem, ctx.where));
   } catch (const crowd::QueryParseError& e) {
-    return make_error(ErrorCode::BadRequest, e.what());
+    return error_reply(ErrorCode::BadRequest, e.what());
   }
 }
 

@@ -98,9 +98,17 @@ class CrowdServer {
   void accept_loop() noexcept;
   void serve_connection(Socket sock) noexcept;
 
-  /// Dispatches one parsed request payload; always returns a response
-  /// payload (make_result / make_error).
-  json::Json dispatch(const json::Json& request);
+  /// One encoded response: the complete frame, and whether it is a success
+  /// (make_result) or a typed error (make_error) for the stats counters.
+  struct Reply {
+    std::string frame;
+    bool ok = false;
+  };
+  static Reply ok_reply(json::Json result);
+  static Reply error_reply(ErrorCode code, const std::string& message);
+
+  /// Dispatches one parsed request payload; always returns a response.
+  Reply dispatch(const json::Json& request);
 
   /// The validated head every repository op shares: the authenticated
   /// caller, the problem name and the WHERE clause ("" when absent).
@@ -111,13 +119,16 @@ class CrowdServer {
   };
   /// Runs the shared request prologue in order — api_key present, api_key
   /// valid, problem present, and (with_where) where is a string — and
-  /// returns the context, or the error frame of the first failing check.
-  std::variant<RequestContext, json::Json> request_context(
+  /// returns the context, or the error reply of the first failing check.
+  std::variant<RequestContext, Reply> request_context(
       const json::Json& request, bool with_where) const;
 
-  json::Json handle_upload(const json::Json& request);
-  json::Json handle_query(const json::Json& request);
-  json::Json handle_explain(const json::Json& request);
+  Reply handle_upload(const json::Json& request);
+  /// Serializes each visible record straight from the shard into the
+  /// response frame while the repository visit runs (no record copies, no
+  /// response tree); the bytes are those of encode_frame(make_result(...)).
+  Reply handle_query(const json::Json& request);
+  Reply handle_explain(const json::Json& request);
   json::Json stats_json() const;
 
   /// Registers / unregisters a live connection fd so stop() can

@@ -241,7 +241,8 @@ TEST_F(RepoTest, RevokedKeyStopsWorking) {
 TEST_F(RepoTest, PlaintextKeysAreNotStored) {
   // No stored document may contain the plaintext API key.
   for (const auto& name : repo_.store().collection_names()) {
-    for (const auto& d : repo_.store().find_collection(name)->all()) {
+    const db::Collection& c = *repo_.store().find_collection(name);
+    for (const auto& d : c.find(Json::object())) {
       EXPECT_EQ(d.dump().find(alice_key_), std::string::npos)
           << "plaintext key leaked into collection " << name;
     }
@@ -493,7 +494,8 @@ TEST(SharedRepoDurable, SeedAliasesNormalizeOnceAcrossReopens) {
   SharedRepo repo = SharedRepo::open_durable(dir.path);
   EXPECT_EQ(repo.store().find_collection("machines")->size(), machines);
   EXPECT_EQ(repo.store().find_collection("software")->size(), software);
-  const Json rec = repo.store().find_collection("func_eval")->all().at(0);
+  const Json rec =
+      repo.store().find_collection("func_eval")->find(Json::object()).at(0);
   EXPECT_EQ(rec.at("machine_configuration").at("machine_name").as_string(),
             "Cori");
   EXPECT_EQ(repo.normalize_software("ScaLAPACK"), "scalapack");

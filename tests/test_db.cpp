@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "collection_reads.hpp"
+
 namespace gptc::db {
 namespace {
 
@@ -21,8 +23,8 @@ class CollectionTest : public ::testing::Test {
 
 TEST_F(CollectionTest, InsertAssignsSequentialIds) {
   EXPECT_EQ(c_.size(), 3u);
-  EXPECT_EQ(c_.all()[0].at("_id").as_int(), 1);
-  EXPECT_EQ(c_.all()[2].at("_id").as_int(), 3);
+  EXPECT_EQ(c_.find(Json::object())[0].at("_id").as_int(), 1);
+  EXPECT_EQ(c_.find(Json::object())[2].at("_id").as_int(), 3);
 }
 
 TEST_F(CollectionTest, InsertRejectsNonObject) {
@@ -77,21 +79,21 @@ TEST_F(CollectionTest, UnknownOperatorThrows) {
 }
 
 TEST_F(CollectionTest, FindOneAndMissing) {
-  EXPECT_EQ(c_.find_one(doc(R"({"value":3})")).at("name").as_string(), "c");
-  EXPECT_TRUE(c_.find_one(doc(R"({"value":99})")).is_null());
+  EXPECT_EQ(first_match(c_, doc(R"({"value":3})")).at("name").as_string(), "c");
+  EXPECT_TRUE(first_match(c_, doc(R"({"value":99})")).is_null());
 }
 
 TEST_F(CollectionTest, Remove) {
   EXPECT_EQ(c_.remove(doc(R"({"value":{"$lte":2}})")), 2u);
   EXPECT_EQ(c_.size(), 1u);
-  EXPECT_EQ(c_.all()[0].at("name").as_string(), "c");
+  EXPECT_EQ(c_.find(Json::object())[0].at("name").as_string(), "c");
 }
 
 TEST_F(CollectionTest, UpdateOverwritesFieldsButNotId) {
   EXPECT_EQ(c_.update(doc(R"({"name":"a"})"),
                       doc(R"({"value":42,"_id":999})")),
             1u);
-  const Json a = c_.find_one(doc(R"({"name":"a"})"));
+  const Json a = first_match(c_, doc(R"({"name":"a"})"));
   EXPECT_EQ(a.at("value").as_int(), 42);
   EXPECT_EQ(a.at("_id").as_int(), 1);
 }
@@ -214,7 +216,7 @@ TEST(ShardedCollection, QueriesMergeInInsertionOrder) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(a[i].dump(), b[i].dump());
-  EXPECT_EQ(sharded.find_one(q).dump(), flat.find_one(q).dump());
+  EXPECT_EQ(first_match(sharded, q).dump(), first_match(flat, q).dump());
   EXPECT_EQ(sharded.count(q), flat.count(q));
 }
 

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "collection_reads.hpp"
 #include "db/document_store.hpp"
 #include "db/engine/checksum.hpp"
 #include "db/engine/engine.hpp"
@@ -375,7 +376,8 @@ struct IndexedPair {
     for (std::size_t i = 0; i < a.size(); ++i)
       EXPECT_EQ(a[i].dump(), b[i].dump()) << query;
     EXPECT_EQ(scan.count(q), indexed.count(q)) << query;
-    EXPECT_EQ(scan.find_one(q).dump(), indexed.find_one(q).dump()) << query;
+    EXPECT_EQ(first_match(scan, q).dump(), first_match(indexed, q).dump())
+        << query;
   }
 };
 
@@ -465,8 +467,8 @@ TEST(DurableStore, ReopenRecoversInsertsUpdatesRemoves) {
   ASSERT_NE(store.find_collection("samples"), nullptr);
   const auto& c = *store.find_collection("samples");
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.find_one(doc(R"({"k":1})")).at("v").as_string(), "a2");
-  EXPECT_EQ(c.find_one(doc(R"({"k":3})")).at("_id").as_int(), 3);
+  EXPECT_EQ(first_match(c, doc(R"({"k":1})")).at("v").as_string(), "a2");
+  EXPECT_EQ(first_match(c, doc(R"({"k":3})")).at("_id").as_int(), 3);
   // Ids continue past the removed one.
   EXPECT_EQ(store.collection("samples").insert(doc(R"({"k":4})")), 4);
 }
@@ -875,7 +877,7 @@ TEST(GroupCommit, AckedRecordsSurvivePowerLossUnackedTailMayNot) {
   auto store = DocumentStore::open_durable(dir.path(), async_options());
   const auto& c = *store.find_collection("samples");
   EXPECT_EQ(c.size(), 5u);
-  EXPECT_TRUE(c.find_one(doc(R"({"k":99})")).is_null());
+  EXPECT_TRUE(first_match(c, doc(R"({"k":99})")).is_null());
 }
 
 TEST(GroupCommit, CrashBetweenEnqueueAndFsyncNeverAcks) {
@@ -943,7 +945,7 @@ TEST_P(CrashAtEveryGroupCommitFsync, RecoveryYieldsExactlyTheAckedPrefix) {
   for (std::size_t i = 0; i < acked; ++i) {
     Json q = Json::object();
     q["k"] = static_cast<std::int64_t>(i);
-    EXPECT_FALSE(c.find_one(q).is_null()) << "acked record k=" << i;
+    EXPECT_FALSE(first_match(c, q).is_null()) << "acked record k=" << i;
   }
 }
 
@@ -1181,7 +1183,7 @@ TEST(CrossShardCommit, InterleavedSingleShardWritersSeeNoTornCommit) {
   // Iteration order is still globally ascending by id across the gap the
   // vanished batch left behind.
   std::int64_t prev = 0;
-  c.for_each([&](const Json& d) {
+  c.visit(Json::object(), [&](const Json& d) {
     EXPECT_GT(d.at("_id").as_int(), prev);
     prev = d.at("_id").as_int();
     return true;
@@ -1301,7 +1303,7 @@ TEST(ShardConcurrency, ParallelWritersAcrossShardsKeepGlobalOrder) {
   // though writers raced across shards.
   std::int64_t prev = 0;
   std::size_t seen = 0;
-  c.for_each([&](const Json& d) {
+  c.visit(Json::object(), [&](const Json& d) {
     EXPECT_GT(d.at("_id").as_int(), prev);
     prev = d.at("_id").as_int();
     ++seen;

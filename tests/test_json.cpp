@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace gptc::json {
 namespace {
 
@@ -166,6 +169,89 @@ TEST(JsonParse, DeeplyNested) {
   Json j = Json::parse(text);
   for (int i = 0; i < 100; ++i) j = j.at(std::size_t{0});
   EXPECT_EQ(j.as_int(), 1);
+}
+
+TEST(JsonDump, CompactBytesPinned) {
+  // The exact compact bytes of a fixed document: escapes (quote, backslash,
+  // newline, a raw control byte), UTF-8 passed through untouched, an
+  // escaped key, the int64 extremes, and the double forms that need a
+  // suffix to stay doubles (-0.0, 3.0) or switch to exponent form (1e21).
+  Json j = Json::object();
+  j["s"] = std::string("q\"b\\n\nc\x01" "d\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80");
+  j["k\"ey"] = "";
+  j["min"] = std::numeric_limits<std::int64_t>::min();
+  j["max"] = std::numeric_limits<std::int64_t>::max();
+  j["d"] = Json::array({Json(-0.0), Json(1e21), Json(3.0), Json(0.1),
+                        Json(-2.5e-300), Json(0)});
+  j["nest"] = Json::array(
+      {Json::array({Json::array({Json(1), Json::array()}), Json::object()}),
+       Json::array({Json(nullptr), Json(true), Json(false)})});
+  const std::string expected =
+      R"({"d":[-0.0,1e+21,3.0,0.1,-2.5e-300,0],)"
+      R"("k\"ey":"","max":9223372036854775807,"min":-9223372036854775808,)"
+      R"("nest":[[[1,[]],{}],[null,true,false]],)"
+      "\"s\":\"q\\\"b\\\\n\\nc\\u0001d\xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80\"}";
+  EXPECT_EQ(j.dump(), expected);
+  EXPECT_EQ(Json::parse(expected).dump(), expected);
+}
+
+TEST(JsonDump, DumpToAppendsCompactBytes) {
+  const Json j = Json::parse(R"({"b":[1,2.5,"x\n"],"a":{"c":null}})");
+  std::string out = "prefix:";
+  j.dump_to(out);
+  j.dump_to(out);
+  EXPECT_EQ(out, "prefix:" + j.dump() + j.dump());
+}
+
+TEST(JsonParse, DuplicateKeysLastWins) {
+  EXPECT_EQ(Json::parse(R"({"a":1,"a":2})").dump(), R"({"a":2})");
+  const Json j = Json::parse(R"({"b":1,"a":1,"b":3,"c":{"x":1,"x":[]}})");
+  EXPECT_EQ(j.size(), 3u);
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":3,"c":{"x":[]}})");
+  // A duplicate of the most recent key (the in-order fast case) too.
+  EXPECT_EQ(Json::parse(R"({"a":1,"b":2,"b":5})").dump(), R"({"a":1,"b":5})");
+}
+
+TEST(JsonParse, OutOfOrderKeysSort) {
+  EXPECT_EQ(Json::parse(R"({"c":1,"a":2,"b":3})").dump(),
+            R"({"a":2,"b":3,"c":1})");
+  // Ascending runs broken by one key out of order, then ascending again.
+  EXPECT_EQ(Json::parse(R"({"a":1,"d":4,"b":2,"e":5,"c":3})").dump(),
+            R"({"a":1,"b":2,"c":3,"d":4,"e":5})");
+  // Byte order, not length order: "ab" < "b", "B" < "a".
+  EXPECT_EQ(Json::parse(R"({"b":1,"ab":2,"a":3,"B":4})").dump(),
+            R"({"B":4,"a":3,"ab":2,"b":1})");
+}
+
+TEST(JsonParse, EscapesAtRunBoundaries) {
+  EXPECT_EQ(Json::parse(R"("\"abc")").as_string(), "\"abc");      // first
+  EXPECT_EQ(Json::parse(R"("abc\n")").as_string(), "abc\n");      // last
+  EXPECT_EQ(Json::parse(R"("\n")").as_string(), "\n");            // only
+  EXPECT_EQ(Json::parse(R"("a\\\"\/\b\f\n\r\tz")").as_string(),  // consecutive
+            "a\\\"/\b\f\n\r\tz");
+  EXPECT_EQ(Json::parse(R"("x\ud83d\uDE00y")").as_string(),  // surrogate pair
+            "x\xF0\x9F\x98\x80y");
+  EXPECT_EQ(Json::parse(R"("\ud83d\uDE00")").as_string(), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(Json::parse(R"("\u00e9\u20AC")").as_string(), "\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(Json::parse(R"("")").as_string(), "");
+  EXPECT_EQ(Json::parse(R"({"k\"":"v\\"})").at("k\"").as_string(), "v\\");
+  // A raw control byte is still rejected mid-run and at either end.
+  EXPECT_THROW(Json::parse("\"ab\x01" "cd\""), JsonError);
+  EXPECT_THROW(Json::parse("\"\x1f\""), JsonError);
+  EXPECT_THROW(Json::parse("\"abc\\"), JsonError);  // escape cut off
+}
+
+TEST(JsonDump, EveryByteRoundTrips) {
+  // Every byte 0x01..0xff at the start, middle and end of a run.
+  for (int c = 1; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    for (const std::string& s :
+         {std::string(1, ch), std::string("ab") + ch, ch + std::string("ab"),
+          std::string("a") + ch + ch + "b"}) {
+      const Json j(s);
+      EXPECT_EQ(Json::parse(j.dump()).as_string(), s) << c;
+    }
+  }
 }
 
 TEST(JsonParse, WhitespaceTolerance) {

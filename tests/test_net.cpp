@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,91 @@ TEST_F(NetTest, EmptyWhereReturnsWholeVisiblePartition) {
   c.upload(api_key_, "p2", {make_eval(3, 3.0)});
   EXPECT_EQ(c.query(api_key_, "p1", "").size(), 2u);
   EXPECT_EQ(c.query(api_key_, "p2", "").size(), 1u);
+}
+
+TEST_F(NetTest, QueryResponseBytesMatchEncodedResult) {
+  // The query response is pinned byte for byte to
+  // encode_frame(make_result({"count": n, "records": query_where(...)})),
+  // at one and at four shards, for callers that see different subsets
+  // (private and foreign shared records stay hidden), for an empty
+  // result, and for records whose strings need escaping and whose outputs
+  // are doubles of every written form.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    if (server_) server_->stop();
+    server_.reset();
+    repo_.reset();
+    dir_ = std::make_unique<TempDir>("gptc_net_bytes_" +
+                                     std::to_string(shards));
+    db::engine::EngineOptions eo;
+    eo.async_commit = true;
+    eo.shards = shards;
+    repo_ = std::make_unique<crowd::SharedRepo>(
+        crowd::SharedRepo::open_durable(dir_->path(), 7, eo));
+    const std::string alice = repo_->register_user("alice", "a@example.org");
+    const std::string bob = repo_->register_user("bob", "b@example.org");
+    const std::string carol = repo_->register_user("carol", "c@example.org");
+
+    using Level = crowd::Accessibility::Level;
+    const auto eval = [&](int mb, double runtime, Level level,
+                          const std::string& shared_with = "") {
+      crowd::EvalUpload e = make_eval(mb, runtime);
+      e.task_parameters["label"] =
+          std::string("q\"b\\s\nn\x01 \xC3\xA9\xF0\x9F\x98\x80");
+      e.accessibility.level = level;
+      if (!shared_with.empty()) e.accessibility.shared_with = {shared_with};
+      return e;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    repo_->upload_batch(alice, "pq", {eval(4, 0.1, Level::Public),
+                                      eval(8, 1e-300, Level::Private)});
+    repo_->upload_batch(bob, "pq", {eval(4, 2.5, Level::Private),
+                                    eval(8, 1e21, Level::Shared, "alice"),
+                                    eval(32, -0.0, Level::Shared, "carol")});
+    repo_->upload_batch(alice, "pq", {eval(16, 3.0, Level::Public),
+                                      eval(64, nan, Level::Public)});
+    repo_->upload_batch(bob, "other", {eval(2, 7.25, Level::Public)});
+    start();
+
+    Socket sock = raw_connect();
+    for (const auto& [key, visible_all] :
+         {std::pair{alice, 5u}, std::pair{bob, 6u}, std::pair{carol, 4u}}) {
+      for (const auto& [problem, where] :
+           {std::pair<std::string, std::string>{"pq", ""},
+            {"pq", "tuning_parameters.mb >= 8"},
+            {"pq", "tuning_parameters.mb > 1000"},
+            {"nope", ""},
+            {"other", ""}}) {
+        Json request = Json::object();
+        request["op"] = "query_evaluations";
+        request["api_key"] = key;
+        request["problem"] = problem;
+        request["where"] = where;
+        const std::string out = encode_frame(request);
+        ASSERT_EQ(sock.send_all(out.data(), out.size()), IoStatus::Ok);
+        char header[kHeaderSize];
+        ASSERT_EQ(sock.recv_exact(header, kHeaderSize), IoStatus::Ok);
+        const DecodedHeader h = decode_header(header);
+        ASSERT_FALSE(h.error.has_value());
+        std::string got(header, kHeaderSize);
+        got.resize(kHeaderSize + h.payload_size);
+        ASSERT_EQ(sock.recv_exact(got.data() + kHeaderSize, h.payload_size),
+                  IoStatus::Ok);
+
+        std::vector<Json> records = repo_->query_where(key, problem, where);
+        if (problem == "pq" && where.empty()) {
+          EXPECT_EQ(records.size(), visible_all);
+        }
+        Json result = Json::object();
+        result["count"] = records.size();
+        Json arr = Json::array();
+        for (Json& r : records) arr.push_back(std::move(r));
+        result["records"] = std::move(arr);
+        EXPECT_EQ(got, encode_frame(make_result(std::move(result))))
+            << problem << " WHERE " << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 // per-problem parameter indexes SharedRepo declares and re-declares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "crowd/repo.hpp"
+#include "collection_reads.hpp"
 #include "db/document_store.hpp"
 #include "db/query/planner.hpp"
 #include "db/query/program.hpp"
@@ -264,6 +266,133 @@ TEST(CompiledShardInvariance, FindsAreByteIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Collection::visit — the one read primitive
+
+/// A collection at `shards` shards (indexed on "a", "k" and "nested.x" when
+/// `indexed`) holding `docs`, plus the oracle's view of it: every stored
+/// document, with its assigned _id, in insertion order. Every fifth
+/// document is removed again and every seventh updated, so the shards hold
+/// id gaps and re-indexed documents.
+struct VisitFixture {
+  Collection c;
+  std::vector<Json> stored;
+
+  VisitFixture(const std::vector<Json>& docs, std::size_t shards,
+               bool indexed)
+      : c("t", shards) {
+    if (indexed) {
+      c.create_index("a");
+      c.create_index("k");
+      c.create_index("nested.x");
+    }
+    for (const Json& d : docs) {
+      Json with_id = d;
+      with_id["_id"] = c.insert(Json(d));
+      stored.push_back(std::move(with_id));
+    }
+    for (auto it = stored.begin(); it != stored.end();) {
+      const std::int64_t id = it->at("_id").as_int();
+      Json by_id = Json::object();
+      by_id["_id"] = id;
+      if (id % 5 == 0) {
+        c.remove(by_id);
+        it = stored.erase(it);
+        continue;
+      }
+      if (id % 7 == 0) {
+        Json upd = Json::object();
+        upd["k"] = Json(static_cast<std::int64_t>(100 + id % 3));
+        c.update(by_id, upd);
+        (*it)["k"] = upd.at("k");
+      }
+      ++it;
+    }
+  }
+
+  std::vector<std::string> oracle_dumps(const Json& q) const {
+    std::vector<std::string> out;
+    for (const Json& d : stored)
+      if (oracle::matches(d, q)) out.push_back(d.dump());
+    return out;
+  }
+};
+
+constexpr std::size_t kVisitShardCounts[] = {1, 2, 3, 8};
+
+TEST(CollectionVisit, MergesShardsInIdOrder) {
+  std::mt19937_64 rng(0x0151755EULL);
+  std::vector<Json> docs;
+  for (int i = 0; i < 80; ++i) docs.push_back(random_document(rng));
+  std::vector<Json> queries{Json::object()};
+  for (int i = 0; i < 60; ++i) queries.push_back(random_query(rng));
+
+  for (const std::size_t shards : kVisitShardCounts) {
+    for (const bool indexed : {false, true}) {
+      const VisitFixture f(docs, shards, indexed);
+      for (const Json& q : queries) {
+        std::vector<std::string> got;
+        std::int64_t last_id = 0;
+        f.c.visit(q, [&](const Json& d) {
+          EXPECT_GT(d.at("_id").as_int(), last_id) << "ids must ascend";
+          last_id = d.at("_id").as_int();
+          got.push_back(d.dump());
+          return true;
+        });
+        EXPECT_EQ(got, f.oracle_dumps(q))
+            << "shards=" << shards << " indexed=" << indexed << " "
+            << q.dump();
+      }
+    }
+  }
+}
+
+TEST(CollectionVisit, StopsWhenFnReturnsFalse) {
+  std::mt19937_64 rng(0x5709ULL);
+  std::vector<Json> docs;
+  for (int i = 0; i < 40; ++i) docs.push_back(random_document(rng));
+  std::vector<Json> queries{Json::object(), doc(R"({"k":{"$exists":true}})"),
+                            doc(R"({"a":{"$in":[0,1,2,"x"]}})")};
+  for (int i = 0; i < 10; ++i) queries.push_back(random_query(rng));
+
+  for (const std::size_t shards : kVisitShardCounts) {
+    for (const bool indexed : {false, true}) {
+      const VisitFixture f(docs, shards, indexed);
+      for (const Json& q : queries) {
+        const std::vector<std::string> all = f.oracle_dumps(q);
+        // Stop after the first, a middle, the last and past the last match.
+        for (const std::size_t stop_after :
+             {std::size_t{1}, all.size() / 2 + 1, all.size(),
+              all.size() + 1}) {
+          std::vector<std::string> got;
+          f.c.visit(q, [&](const Json& d) {
+            got.push_back(d.dump());
+            return got.size() < stop_after;
+          });
+          const std::size_t want = std::min(stop_after, all.size());
+          ASSERT_EQ(got.size(), want)
+              << "shards=" << shards << " indexed=" << indexed << " "
+              << q.dump();
+          EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin()));
+        }
+      }
+    }
+  }
+}
+
+TEST(CollectionVisit, MalformedQueryThrowsBeforeAnyCall) {
+  Collection c("t", 3);
+  c.insert(doc(R"({"k":1})"));
+  bool called = false;
+  EXPECT_THROW(c.visit(doc(R"({"k":{"$bogus":1}})"),
+                       [&](const Json&) {
+                         called = true;
+                         return true;
+                       }),
+               json::JsonError);
+  EXPECT_FALSE(called);
+}
+
+// ---------------------------------------------------------------------------
 // Planner behaviour (via Collection::explain)
 
 /// 64 docs: "k" splits them 2 ways (32 per key), "u" 16 ways (4 per key).
@@ -366,8 +495,8 @@ TEST(CompiledDurability, MalformedMutationQueryDoesNotPoisonWal) {
   ASSERT_NE(store.find_collection("samples"), nullptr);
   const auto& c = *store.find_collection("samples");
   EXPECT_EQ(c.size(), 3u);
-  EXPECT_EQ(c.find_one(doc(R"({"k":1})")).at("v").as_string(), "a");
-  EXPECT_EQ(c.find_one(doc(R"({"k":3})")).at("v").as_string(), "c");
+  EXPECT_EQ(first_match(c, doc(R"({"k":1})")).at("v").as_string(), "a");
+  EXPECT_EQ(first_match(c, doc(R"({"k":3})")).at("v").as_string(), "c");
 }
 
 // ---------------------------------------------------------------------------
