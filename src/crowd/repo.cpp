@@ -410,8 +410,7 @@ SharedRepo::UploadReceipt SharedRepo::upload_records(
   // to different shards proceed concurrently.
   if (missing_catalog_docs(user, problem_name, records).empty()) {
     auto batch = store_.collection("func_eval").insert_batch(std::move(records));
-    return UploadReceipt{std::move(batch.ids), std::move(batch.ticket),
-                         batch.commit_seq};
+    return UploadReceipt{std::move(batch.ids), std::move(batch.ticket)};
   }
   // First sighting of this problem or machine: catalog descriptors and
   // runs go down as ONE logical commit, whole-or-nothing under crash.
@@ -430,9 +429,8 @@ SharedRepo::UploadReceipt SharedRepo::upload_records(
   auto result = store_.insert_atomic(std::move(docs));
   for (const auto& path : new_index_paths)
     store_.collection("func_eval").create_index(path);
-  const std::uint64_t seq = result.ticket.seq;
   return UploadReceipt{std::move(result.ids["func_eval"]),
-                       std::move(result.ticket), seq};
+                       std::move(result.ticket)};
 }
 
 void SharedRepo::collect_index_paths(const Json& problem_doc,

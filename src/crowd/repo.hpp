@@ -141,12 +141,10 @@ class SharedRepo {
 
   /// Receipt for an upload batch: the func_eval record ids plus the
   /// durability ticket (the engine WAL the commit frame lives in and its
-  /// sequence; seq 0 when the repository is not durable). commit_seq
-  /// mirrors ticket.seq for callers that only test for zero.
+  /// sequence; seq 0 when the repository is not durable).
   struct UploadReceipt {
     std::vector<std::int64_t> ids;
     db::engine::CommitTicket ticket;
-    std::uint64_t commit_seq = 0;
   };
 
   /// Uploads a batch of evaluations atomically: the records (and any

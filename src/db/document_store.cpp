@@ -100,26 +100,9 @@ void Collection::insert_into_shard(Shard& s, Json document) {
 }
 
 std::int64_t Collection::insert(Json document) {
-  if (!document.is_object())
-    throw json::JsonError("Collection::insert: document must be an object");
-  const std::int64_t id = next_id_.fetch_add(1);
-  document["_id"] = id;
-  const std::size_t k = shard_of(id);
-  Shard& s = *shards_[k];
-  {
-    std::unique_lock lock(s.mu);
-    if (engine_) {
-      Json op = Json::object();
-      op["o"] = "i";
-      op["d"] = document;
-      engine_->log_op(*this, k, op);  // write-ahead: log before apply
-    }
-    insert_into_shard(s, std::move(document));
-  }
-  // Checkpoint with the shard unlocked: the snapshot I/O must not extend
-  // this writer's critical section.
-  if (engine_) engine_->maybe_checkpoint(*this, k);
-  return id;
+  std::vector<Json> one;
+  one.push_back(std::move(document));
+  return insert_batch(std::move(one)).ids.front();
 }
 
 Collection::BatchInsert Collection::insert_batch(std::vector<Json> documents) {
@@ -128,104 +111,86 @@ Collection::BatchInsert Collection::insert_batch(std::vector<Json> documents) {
       throw json::JsonError(
           "Collection::insert_batch: every document must be an object");
   BatchInsert out;
-  if (documents.empty()) return out;
-  out.ids.reserve(documents.size());
+  std::vector<Member> members;
+  add_batch_members(std::move(documents), out.ids, members);
+  out.ticket = commit(members, apply_batch);
+  return out;
+}
 
+void Collection::add_batch_members(std::vector<Json> documents,
+                                   std::vector<std::int64_t>& ids,
+                                   std::vector<Member>& members) {
   // Assign ids up front, then bucket by shard. Ids ascend through the
   // batch, so each shard's slice stays in ascending-id (= insertion) order.
   const std::int64_t base =
       next_id_.fetch_add(static_cast<std::int64_t>(documents.size()));
-  std::map<std::size_t, std::vector<Json>> by_shard;
+  std::map<std::size_t, Json::Array> by_shard;
+  ids.reserve(ids.size() + documents.size());
   for (std::size_t i = 0; i < documents.size(); ++i) {
     const std::int64_t id = base + static_cast<std::int64_t>(i);
     documents[i]["_id"] = id;
-    out.ids.push_back(id);
+    ids.push_back(id);
     by_shard[shard_of(id)].push_back(std::move(documents[i]));
   }
-
-  if (by_shard.size() == 1) {
-    // Whole batch on one shard: a single shard-WAL batch frame is already
-    // crash-atomic (replayed whole or not at all), no commit record needed.
-    const std::size_t k = by_shard.begin()->first;
-    auto& docs = by_shard.begin()->second;
-    Shard& s = *shards_[k];
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json batch = Json::array();
-        for (const auto& d : docs) batch.as_array().push_back(d);
-        Json op = Json::object();
-        op["o"] = "b";
-        op["ds"] = std::move(batch);
-        const std::uint64_t seq = engine_->log_op(*this, k, op);
-        out.ticket = {
-            engine::StorageEngine::shard_stem(name_, k, shard_count()), seq};
-        out.commit_seq = seq;
-      }
-      for (auto& d : docs) insert_into_shard(s, std::move(d));
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, k);
-    return out;
-  }
-
-  // The batch spans shards: one logical commit record covers every
-  // per-shard batch frame, and application happens under all affected
-  // shard writer locks — readers and recovery see none or all of it.
-  std::map<std::size_t, Json> ops;
-  for (const auto& [k, docs] : by_shard) {
-    Json batch = Json::array();
-    for (const auto& d : docs) batch.as_array().push_back(d);
+  for (auto& [k, docs] : by_shard) {
     Json op = Json::object();
     op["o"] = "b";
-    op["ds"] = std::move(batch);
-    ops.emplace(k, std::move(op));
+    op["ds"] = Json(std::move(docs));
+    members.push_back({this, k, std::move(op)});
   }
-  out.ticket = commit_multi(ops, [&] {
-    for (auto& [k, docs] : by_shard)
-      for (auto& d : docs) insert_into_shard(*shards_[k], std::move(d));
-  });
-  out.commit_seq = out.ticket.seq;
-  return out;
 }
 
-engine::CommitTicket Collection::commit_multi(
-    const std::map<std::size_t, Json>& ops_by_shard,
-    const std::function<void()>& apply) {
-  if (!engine_) {
+void Collection::apply_batch(Member& m) {
+  // The documents move out of the op: it was logged already.
+  Collection& c = *m.collection;
+  for (auto& d : m.op["ds"].as_array())
+    c.insert_into_shard(*c.shards_[m.shard], std::move(d));
+}
+
+engine::CommitTicket Collection::commit(
+    std::vector<Member>& members, const std::function<void(Member&)>& apply) {
+  if (members.empty()) return {};
+  engine::StorageEngine* const eng = members.front().collection->engine_;
+  if (eng == nullptr) {
     std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard) {
-      (void)op;
-      locks.emplace_back(shards_[k]->mu);
-    }
-    apply();
+    locks.reserve(members.size());
+    for (const auto& m : members)
+      locks.emplace_back(m.collection->shards_[m.shard]->mu);
+    for (auto& m : members) apply(m);
     return {};
   }
   engine::CommitTicket ticket;
-  {
-    // Lock order: commit gate (shared) -> shard writer locks (ascending:
-    // ops_by_shard is a sorted map) -> WAL internals inside log_commit.
-    std::shared_lock gate(engine_->commit_gate());
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard) {
-      (void)op;
-      locks.emplace_back(shards_[k]->mu);
+  if (members.size() == 1) {
+    // One shard frame is already crash-atomic (replayed whole or not at
+    // all): no commit record, and no gate.
+    Member& m = members.front();
+    {
+      std::unique_lock lock(m.collection->shards_[m.shard]->mu);
+      ticket = eng->log_op(*m.collection, m.shard, m.op);  // log, then apply
+      apply(m);
     }
-    std::vector<engine::StorageEngine::CommitMember> members;
-    members.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard)
-      members.push_back({this, k, op});
-    ticket = engine_->log_commit(members);  // write-ahead: log before apply
-    apply();
+    // Checkpoint with the shard unlocked: the snapshot I/O must not extend
+    // this writer's critical section.
+    eng->maybe_checkpoint(*m.collection, m.shard);
+    return ticket;
+  }
+  {
+    // Several members: one logical commit record covers them all, applied
+    // under every member's writer lock — readers and recovery see none or
+    // all of it. Lock order: commit gate (shared) -> shard writer locks in
+    // member order -> WAL internals inside log_commit.
+    std::shared_lock gate(eng->commit_gate());
+    std::vector<std::unique_lock<std::shared_mutex>> locks;
+    locks.reserve(members.size());
+    for (const auto& m : members)
+      locks.emplace_back(m.collection->shards_[m.shard]->mu);
+    ticket = eng->log_commit(members);  // log, then apply
+    for (auto& m : members) apply(m);
   }
   // Shard locks and the commit gate are released: checkpoints (snapshot
   // I/O) run without extending the commit's critical section.
-  for (const auto& [k, op] : ops_by_shard) {
-    (void)op;
-    engine_->maybe_checkpoint(*this, k);
-  }
-  engine_->maybe_compact_commits();  // needs the gate exclusively: call last
+  for (const auto& m : members) eng->maybe_checkpoint(*m.collection, m.shard);
+  eng->maybe_compact_commits();  // needs the gate exclusively: call last
   return ticket;
 }
 
@@ -389,34 +354,17 @@ std::size_t Collection::remove(const Json& query) {
   // query used to be logged, then throw during apply, and recovery would
   // re-throw replaying it — refusing to open the store.
   const auto cq = query::CompiledQuery::compile(query);
-  if (shard_count() == 1) {
-    Shard& s = *shards_[0];
-    std::size_t n = 0;
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json op = Json::object();
-        op["o"] = "r";
-        op["q"] = query;
-        engine_->log_op(*this, 0, op);
-      }
-      n = remove_shard_locked(s, cq);
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, 0);
-    return n;
-  }
-  // A query can match documents on any shard, so at N > 1 a remove is a
-  // logical commit across all of them — recovery applies it everywhere or
-  // nowhere, never on a subset of shards.
   Json op = Json::object();
   op["o"] = "r";
   op["q"] = query;
-  std::map<std::size_t, Json> ops;
-  for (std::size_t k = 0; k < shard_count(); ++k) ops.emplace(k, op);
+  // A query can match documents on any shard, so every shard is a member:
+  // at N > 1 recovery applies the remove everywhere or nowhere.
+  std::vector<Member> members;
+  for (std::size_t k = 0; k < shard_count(); ++k)
+    members.push_back({this, k, op});
   std::size_t n = 0;
-  commit_multi(ops, [&] {
-    for (std::size_t k = 0; k < shard_count(); ++k)
-      n += remove_shard_locked(*shards_[k], cq);
+  commit(members, [&](Member& m) {
+    n += remove_shard_locked(*shards_[m.shard], cq);
   });
   return n;
 }
@@ -450,33 +398,16 @@ std::size_t Collection::update(const Json& query, const Json& update) {
     throw json::JsonError("Collection::update: update must be an object");
   // Compile (= validate) before WAL-logging, as in remove().
   const auto cq = query::CompiledQuery::compile(query);
-  if (shard_count() == 1) {
-    Shard& s = *shards_[0];
-    std::size_t n = 0;
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json op = Json::object();
-        op["o"] = "u";
-        op["q"] = query;
-        op["u"] = update;
-        engine_->log_op(*this, 0, op);
-      }
-      n = update_shard_locked(s, cq, update);
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, 0);
-    return n;
-  }
   Json op = Json::object();
   op["o"] = "u";
   op["q"] = query;
   op["u"] = update;
-  std::map<std::size_t, Json> ops;
-  for (std::size_t k = 0; k < shard_count(); ++k) ops.emplace(k, op);
+  std::vector<Member> members;
+  for (std::size_t k = 0; k < shard_count(); ++k)
+    members.push_back({this, k, op});
   std::size_t n = 0;
-  commit_multi(ops, [&] {
-    for (std::size_t k = 0; k < shard_count(); ++k)
-      n += update_shard_locked(*shards_[k], cq, update);
+  commit(members, [&](Member& m) {
+    n += update_shard_locked(*shards_[m.shard], cq, update);
   });
   return n;
 }
@@ -577,9 +508,7 @@ void Collection::restore_shard(std::size_t shard, const Json& j) {
 void Collection::replay_shard_op(std::size_t shard, const Json& op) {
   Shard& s = *shards_[shard];
   const std::string& kind = op.at("o").as_string();
-  if (kind == "i") {
-    insert_into_shard(s, op.at("d"));
-  } else if (kind == "b") {
+  if (kind == "b") {
     // One frame (or one commit member) = this shard's slice of the batch,
     // applied whole (batch crash atomicity).
     for (const auto& d : op.at("ds").as_array()) insert_into_shard(s, d);
@@ -648,7 +577,6 @@ std::vector<std::string> DocumentStore::collection_names() const {
 
 DocumentStore::AtomicInsert DocumentStore::insert_atomic(
     std::map<std::string, std::vector<Json>> docs) {
-  AtomicInsert out;
   for (const auto& [name, ds] : docs) {
     (void)name;
     for (const auto& d : ds)
@@ -656,76 +584,15 @@ DocumentStore::AtomicInsert DocumentStore::insert_atomic(
         throw json::JsonError(
             "DocumentStore::insert_atomic: every document must be an object");
   }
-
-  // Resolve targets first: collection() may create entries, which must not
-  // happen while shard locks are held.
-  struct Member {
-    Collection* c = nullptr;
-    std::size_t shard = 0;
-    std::vector<Json> docs;
-  };
-  std::vector<Member> members;  // (collection name asc, shard asc) — the
-                                // engine lock order for cross-shard commits
-  for (auto& [name, ds] : docs) {
-    if (ds.empty()) continue;
-    Collection& c = collection(name);
-    const std::int64_t base =
-        c.next_id_.fetch_add(static_cast<std::int64_t>(ds.size()));
-    auto& ids = out.ids[name];
-    ids.reserve(ds.size());
-    std::map<std::size_t, std::vector<Json>> by_shard;
-    for (std::size_t i = 0; i < ds.size(); ++i) {
-      const std::int64_t id = base + static_cast<std::int64_t>(i);
-      ds[i]["_id"] = id;
-      ids.push_back(id);
-      by_shard[c.shard_of(id)].push_back(std::move(ds[i]));
-    }
-    for (auto& [k, slice] : by_shard) {
-      Member m;
-      m.c = &c;
-      m.shard = k;
-      m.docs = std::move(slice);
-      members.push_back(std::move(m));
-    }
-  }
-  if (members.empty()) return out;
-
-  const auto apply = [&] {
-    for (auto& m : members)
-      for (auto& d : m.docs)
-        m.c->insert_into_shard(*m.c->shards_[m.shard], std::move(d));
-  };
-
-  if (!engine_) {
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(members.size());
-    for (const auto& m : members) locks.emplace_back(m.c->shards_[m.shard]->mu);
-    apply();
-    return out;
-  }
-
-  {
-    std::shared_lock gate(engine_->commit_gate());
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(members.size());
-    for (const auto& m : members) locks.emplace_back(m.c->shards_[m.shard]->mu);
-    std::vector<engine::StorageEngine::CommitMember> cms;
-    cms.reserve(members.size());
-    for (const auto& m : members) {
-      Json batch = Json::array();
-      for (const auto& d : m.docs) batch.as_array().push_back(d);
-      Json op = Json::object();
-      op["o"] = "b";
-      op["ds"] = std::move(batch);
-      cms.push_back({m.c, m.shard, std::move(op)});
-    }
-    out.ticket = engine_->log_commit(cms);  // write-ahead: log before apply
-    apply();
-  }
-  // Shard locks and the commit gate are released: checkpoints (snapshot
-  // I/O) run without extending the commit's critical section.
-  for (const auto& m : members) engine_->maybe_checkpoint(*m.c, m.shard);
-  engine_->maybe_compact_commits();
+  // Members in (collection name, shard) order — the engine lock order.
+  // Resolving them first also keeps collection() from creating an entry
+  // while shard locks are held.
+  AtomicInsert out;
+  std::vector<Collection::Member> members;
+  for (auto& [name, ds] : docs)
+    if (!ds.empty())
+      collection(name).add_batch_members(std::move(ds), out.ids[name], members);
+  out.ticket = Collection::commit(members, Collection::apply_batch);
   return out;
 }
 

@@ -20,11 +20,18 @@
 // never contend. The split is invisible at this API: queries fan out under
 // every shard's reader lock and merge by id, which IS insertion order
 // (ids are assigned from one monotone counter), so results are
-// byte-identical to the unsharded store. Mutations that span shards (a
-// batch insert whose documents hash apart, update/remove at N > 1) are
-// logged as one logical commit record and applied under every affected
-// shard's writer lock — readers and crash recovery observe none or all of
-// such a mutation.
+// byte-identical to the unsharded store.
+//
+// One write primitive: every mutation — insert (a one-document batch),
+// insert_batch, update, remove, DocumentStore::insert_atomic — is built
+// as a list of (collection, shard, op) members and goes through
+// Collection::commit, which takes the members' shard writer locks, logs
+// the mutation as ONE WAL append before applying it, and checkpoints
+// after the locks are released. A mutation with one member logs a frame
+// to that shard's WAL; one with several (a batch whose documents hash
+// apart, update/remove at N > 1, a crowd upload spanning collections)
+// logs one logical commit record under the engine's commit gate. Either
+// way readers and crash recovery observe none or all of a mutation.
 //
 // One persistence path: open_durable() puts the store on the storage
 // engine in src/db/engine — per-shard write-ahead logs with
@@ -96,18 +103,15 @@ class Collection {
   bool empty() const { return size() == 0; }
 
   /// Inserts a document (must be a JSON object); assigns and returns its
-  /// "_id". In durable mode the op is WAL-logged before it is applied.
+  /// "_id". A one-document insert_batch.
   std::int64_t insert(Json document);
 
   /// Result of an atomic batch insert: the assigned ids plus the
   /// durability ticket callers hand to StorageEngine::wait_durable for an
-  /// ack (ticket.seq 0 when the store is not durable). commit_seq mirrors
-  /// ticket.seq for callers that only care whether there is anything to
-  /// wait for.
+  /// ack (ticket.seq 0 when the store is not durable).
   struct BatchInsert {
     std::vector<std::int64_t> ids;
     engine::CommitTicket ticket;
-    std::uint64_t commit_seq = 0;
   };
 
   /// Inserts every document atomically: WAL-logged as ONE record (a shard
@@ -229,12 +233,23 @@ class Collection {
   const engine::OrderedIndex* exact_index(const Shard& s,
                                           const Json& query,
                                           const Json** condition) const;
-  /// Routes an already-built per-shard op set through the engine's logical
-  /// commit record (durable) and applies it; `apply` runs under all
-  /// affected shard writer locks.
-  engine::CommitTicket commit_multi(
-      const std::map<std::size_t, Json>& ops_by_shard,
-      const std::function<void()>& apply);
+  /// One (collection, shard, op payload) member of a mutation.
+  using Member = engine::StorageEngine::CommitMember;
+  /// The one write primitive (see the file comment). `members` must be
+  /// sorted by collection name, then shard — the engine lock order. Logs
+  /// ONE WAL append, then runs `apply` on each member under every member
+  /// shard's writer lock. Returns the durability ticket ({} when the store
+  /// is not durable or `members` is empty).
+  static engine::CommitTicket commit(
+      std::vector<Member>& members, const std::function<void(Member&)>& apply);
+  /// Assigns consecutive ids to `documents` (appended to `ids`) and adds
+  /// one {"o":"b","ds":[...]} member per shard they hash to, ascending.
+  void add_batch_members(std::vector<Json> documents,
+                         std::vector<std::int64_t>& ids,
+                         std::vector<Member>& members);
+  /// commit()'s `apply` for batch members: moves the member's (already
+  /// logged) documents into its shard.
+  static void apply_batch(Member& m);  // requires_lock: Shard::mu
 
   std::string name_;  // guard-ok: immutable after construction
   std::atomic<std::int64_t> next_id_{1};
@@ -265,13 +280,14 @@ class DocumentStore {
     engine::CommitTicket ticket;
   };
 
-  /// Inserts documents into SEVERAL collections as one logical commit —
-  /// the paper's crowd upload writes problem, machine, and run records
-  /// that must land whole-or-nothing. In durable mode every member is
-  /// covered by ONE engine commit-WAL record, so crash recovery yields
-  /// all of them or none; in-memory visibility is all-or-nothing per
-  /// collection (each collection's members apply under all of its shard
-  /// writer locks). Throws before any mutation on a non-object document.
+  /// Inserts documents into SEVERAL collections as one mutation — the
+  /// paper's crowd upload writes problem, machine, and run records that
+  /// must land whole-or-nothing. In durable mode the whole insert is ONE
+  /// WAL append (a commit record, or a shard frame when every document
+  /// lands on one shard of one collection), so crash recovery yields all
+  /// of it or none; readers see none or all of it, since it applies under
+  /// every affected shard writer lock. Throws before any mutation on a
+  /// non-object document.
   AtomicInsert insert_atomic(std::map<std::string, std::vector<Json>> docs);
 
   /// Writes every collection as <dir>/<name>.json (creating dir) — a

@@ -29,8 +29,8 @@ namespace {
 constexpr const char* kManifestName = "engine.manifest";
 constexpr const char* kCommitPrefix = "engine.commit.s";
 
-/// Splits a file stem of the form "<base>.s<k>of<n>" (n > 1). Returns
-/// false when the stem carries no shard suffix.
+/// Splits a file stem of the form "<base>.s<k>of<n>". Returns false when
+/// the stem carries no shard suffix.
 bool parse_shard_stem(const std::string& stem, std::string* base,
                       std::size_t* shard, std::size_t* of) {
   const std::size_t dot = stem.rfind(".s");
@@ -49,7 +49,7 @@ bool parse_shard_stem(const std::string& stem, std::string* base,
   *base = stem.substr(0, dot);
   *shard = static_cast<std::size_t>(std::stoul(k_str));
   *of = static_cast<std::size_t>(std::stoul(n_str));
-  return *of > 1;
+  return *of > 0;
 }
 
 /// Shard count embedded in an "engine.commit.s<n>" stem, or 0.
@@ -63,30 +63,46 @@ std::size_t parse_commit_stem(const std::string& stem) {
   return static_cast<std::size_t>(std::stoul(n_str));
 }
 
-std::optional<std::size_t> read_manifest(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
+[[noreturn]] void refuse(const std::filesystem::path& path,
+                         const std::string& why) {
+  throw std::runtime_error("engine: refusing to open " + path.string() +
+                           ": " + why);
+}
+
+/// The on-disk layout this build reads and writes: every shard named
+/// "<coll>.s<k>of<N>" (N = 1 included), and the shard count in the manifest.
+constexpr std::int64_t kFormat = 2;
+
+/// Shard count recorded in `dir`'s manifest; nullopt when there is none.
+std::optional<std::size_t> read_manifest(const std::filesystem::path& dir) {
+  std::ifstream in(dir / kManifestName, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
+  std::int64_t format = 0;
+  std::int64_t n = 0;
   try {
     const Json j = Json::parse(buf.str());
-    if (j.get_or("format", Json(0)).as_int() != 1)
-      throw std::runtime_error("unknown format version");
-    const std::int64_t n = j.at("shards").as_int();
-    if (n < 1)
-      throw std::runtime_error("bad shard count " + std::to_string(n));
-    return static_cast<std::size_t>(n);
+    format = j.get_or("format", Json(0)).as_int();
+    n = j.get_or("shards", Json(0)).as_int();
   } catch (const std::exception& e) {
-    throw std::runtime_error("engine: refusing manifest " + path.string() +
-                             ": " + e.what());
+    refuse(dir, std::string(kManifestName) + " is unreadable: " + e.what());
   }
+  if (format != kFormat)
+    refuse(dir, std::string(kManifestName) + " has format " +
+                    std::to_string(format) + "; this build reads format " +
+                    std::to_string(kFormat) + " only");
+  if (n < 1)
+    refuse(dir, std::string(kManifestName) + " has bad shard count " +
+                    std::to_string(n));
+  return static_cast<std::size_t>(n);
 }
 
 /// Atomically (re)writes engine.manifest — the commit point of a shard-
 /// count migration, so it gets the full tmp+fsync+rename+dir-fsync dance.
 void write_manifest(const std::filesystem::path& dir, std::size_t shards) {
   Json j = Json::object();
-  j["format"] = 1;
+  j["format"] = kFormat;
   j["shards"] = static_cast<std::int64_t>(shards);
   const std::filesystem::path path = dir / kManifestName;
   const std::filesystem::path tmp = path.string() + ".tmp";
@@ -118,12 +134,6 @@ void write_manifest(const std::filesystem::path& dir, std::size_t shards) {
   sync_parent_dir(path);
 }
 
-[[noreturn]] void refuse(const std::filesystem::path& path,
-                         const std::string& why) {
-  throw std::runtime_error("engine: refusing to open " + path.string() +
-                           ": " + why);
-}
-
 }  // namespace
 
 StorageEngine::StorageEngine(std::filesystem::path dir, EngineOptions opts)
@@ -145,7 +155,6 @@ std::size_t StorageEngine::inline_group_commit() const {
 
 std::string StorageEngine::shard_stem(const std::string& collection,
                                       std::size_t shard, std::size_t of) {
-  if (of <= 1) return collection;
   return collection + ".s" + std::to_string(shard) + "of" +
          std::to_string(of);
 }
@@ -159,45 +168,33 @@ void StorageEngine::recover(DocumentStore& store) {
   recovery_warnings_.clear();
 
   // --- classify the directory against the manifest -------------------------
-  const std::optional<std::size_t> manifest = read_manifest(dir_ / kManifestName);
-
-  std::set<std::string> collections;  // names with current-layout artifacts
-  std::vector<std::filesystem::path> debris;  // stale tmps + wrong-count files
-  std::vector<std::filesystem::path> sharded;  // deferred until disk_n known
-  bool have_plain = false;   // unsuffixed .wal/.snapshot present
-  bool have_commit = false;  // commit WAL matching the manifest count
+  const std::optional<std::size_t> manifest = read_manifest(dir_);
 
   std::vector<std::filesystem::path> entries;
   for (const auto& entry : std::filesystem::directory_iterator(dir_))
     entries.push_back(entry.path());
-
-  // First pass just to establish the disk shard count.
-  std::size_t max_suffix_count = 0;
-  for (const auto& p : entries) {
-    const std::string ext = p.extension().string();
-    if (ext != ".wal" && ext != ".snapshot") continue;
-    const std::string stem = p.stem().string();
-    std::string base;
-    std::size_t k = 0, of = 0;
-    if (parse_commit_stem(stem) > 0 || parse_shard_stem(stem, &base, &k, &of))
-      max_suffix_count = std::max(max_suffix_count, std::size_t(2));
-  }
-  if (!manifest && max_suffix_count > 0)
-    refuse(dir_, "sharded engine files present but " +
-                     std::string(kManifestName) +
-                     " is missing; not guessing a layout");
+  // Every engine directory has had a manifest since before its first WAL
+  // frame, so engine files without one are another layout (or a damaged
+  // directory): refuse rather than guess, and never import JSON exports.
   if (!manifest)
-    for (const auto& p : entries)
-      if (p.extension() == ".json")
+    for (const auto& p : entries) {
+      const std::string ext = p.extension().string();
+      if (ext == ".wal" || ext == ".snapshot")
+        refuse(dir_, p.filename().string() + " is present but " +
+                         kManifestName + " is missing; not guessing a "
+                         "layout");
+      if (ext == ".json")
         refuse(dir_, p.filename().string() +
                          " is a JSON export and " + kManifestName +
                          " is missing; pre-engine JSON exports are no "
                          "longer imported");
+    }
 
+  std::set<std::string> collections;  // names with current-layout artifacts
+  std::vector<std::filesystem::path> debris;  // stale tmps + wrong-count files
+  bool have_commit = false;  // commit WAL matching the manifest count
   std::size_t disk_n = manifest.value_or(1);
-  bool fresh = true;  // no engine artifacts at all (manifest counts)
-  if (manifest) fresh = false;
-
+  const bool fresh = !manifest;  // no engine artifacts at all
   for (const auto& p : entries) {
     const std::string ext = p.extension().string();
     const std::string stem = p.stem().string();
@@ -209,7 +206,6 @@ void StorageEngine::recover(DocumentStore& store) {
       continue;
     }
     if (ext != ".wal" && ext != ".snapshot") continue;
-    fresh = false;
     const std::size_t commit_n = parse_commit_stem(stem);
     if (commit_n > 0) {
       if (ext == ".wal" && commit_n == disk_n)
@@ -220,20 +216,11 @@ void StorageEngine::recover(DocumentStore& store) {
     }
     std::string base;
     std::size_t k = 0, of = 0;
-    if (parse_shard_stem(stem, &base, &k, &of)) {
-      if (of == disk_n && k < of)
-        collections.insert(base);
-      else
-        debris.push_back(p);  // crashed-migration leftovers, never flipped in
-      continue;
-    }
-    have_plain = true;
-    if (disk_n == 1)
-      collections.insert(stem);
+    if (parse_shard_stem(stem, &base, &k, &of) && of == disk_n && k < of)
+      collections.insert(base);
     else
-      debris.push_back(p);  // pre-migration layout after the flip
+      debris.push_back(p);  // crashed-migration leftovers, never flipped in
   }
-  (void)have_plain;
   for (const auto& p : debris) std::filesystem::remove(p);
   if (!debris.empty()) sync_parent_dir(dir_ / kManifestName);
 
@@ -473,13 +460,13 @@ WalWriter* StorageEngine::find_wal(const std::string& key) const {
   return it == wals_.end() ? nullptr : it->second.wal.get();
 }
 
-std::uint64_t StorageEngine::log_op(Collection& c, std::size_t shard,
-                                    const Json& op) {
-  if (replaying_) return 0;
-  const std::string key = shard_stem(c.name(), shard, shard_count_);
+CommitTicket StorageEngine::log_op(Collection& c, std::size_t shard,
+                                   const Json& op) {
+  if (replaying_) return {};
+  std::string key = shard_stem(c.name(), shard, shard_count_);
   const std::uint64_t seq = wal_for(key).append(op);
   if (committer_) committer_->notify_logged(key, seq);
-  return seq;
+  return CommitTicket{std::move(key), seq};
 }
 
 CommitTicket StorageEngine::log_commit(

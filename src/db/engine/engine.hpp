@@ -12,34 +12,37 @@
 // Opening a directory replays every shard's snapshot + WAL tail in
 // parallel (src/parallel), tolerating a torn final record per log.
 //
-// On-disk layout (N = shard count):
+// On-disk layout, format 2 (N = shard count, N = 1 included):
 //
-//   engine.manifest               {"format":1,"shards":N} — atomic flip
-//   <coll>.wal / <coll>.snapshot              when N == 1 (legacy layout)
-//   <coll>.s<k>of<N>.wal / ...snapshot        when N  > 1, k in [0, N)
+//   engine.manifest               {"format":2,"shards":N} — atomic flip
+//   <coll>.s<k>of<N>.wal / ...snapshot        k in [0, N)
 //   engine.commit.s<N>.wal        logical cross-shard commit records
 //
-// N == 1 keeps the exact pre-sharding file names, so directories written
-// by older builds open unchanged. Opening with a different
-// EngineOptions::shards than the directory holds migrates it: the store is
-// recovered at the old count, repartitioned in memory, written out as
-// full-coverage snapshots under the new names, and committed by atomically
-// rewriting engine.manifest — the single flip point. Files whose embedded
-// shard count disagrees with the manifest are debris from a crashed
-// migration (the flip never happened, or cleanup never finished) and are
-// deleted on open; a missing manifest next to sharded files is refused.
+// The manifest is written before the first WAL frame, so every engine
+// directory has one. Opening refuses, naming the directory, a manifest of
+// any other format and .wal/.snapshot files without a manifest (such as
+// the unversioned <coll>.wal names older builds wrote at N = 1). Opening
+// with a different EngineOptions::shards than the directory holds
+// migrates it: the store is recovered at the old count, repartitioned in
+// memory, written out as full-coverage snapshots under the new names, and
+// committed by atomically rewriting engine.manifest — the single flip
+// point. Files whose embedded shard count disagrees with the manifest are
+// debris from a crashed migration (the flip never happened, or cleanup
+// never finished) and are deleted on open.
 //
 // Shard WAL operation payloads (compact JSONL, see wal.hpp for framing):
 //
-//   {"o":"i","d":{...doc with _id...}}       insert
-//   {"o":"b","ds":[{...},...]}               atomic batch insert
+//   {"o":"b","ds":[{...},...]}               insert (one or more docs)
 //   {"o":"u","q":{...},"u":{...}}            update(query, fields)
 //   {"o":"r","q":{...}}                      remove(query)
 //
-// Logical cross-shard commits: a mutation spanning several shards or
-// collections (a multi-shard batch insert, an N>1 update/remove, a
+// Every mutation is ONE WAL append (Collection::commit, the store's one
+// write primitive). A mutation with one member (collection shard) is one
+// frame in that shard's WAL. One with several members (a batch insert
+// whose documents hash apart, an N>1 update/remove, a
 // DocumentStore::insert_atomic crowd upload touching problem + machine +
-// runs collections) is ONE frame in the engine commit WAL:
+// runs collections) is a logical commit: ONE frame in the engine commit
+// WAL:
 //
 //   {"m":[{"c":<coll>,"s":<shard>,"q":<seq>,"op":{...}}, ...]}
 //
@@ -57,7 +60,7 @@
 //   commit_gate (shared for cross-shard commits, exclusive for commit-WAL
 //   compaction) -> collection shard shared_mutexes (collection name order,
 //   then ascending shard index) -> WalWriter/GroupCommitter internal
-//   mutexes (leaves). Single-shard mutators skip the gate entirely.
+//   mutexes (leaves). Single-member mutations skip the gate entirely.
 #pragma once
 
 #include <cstdint>
@@ -129,9 +132,9 @@ class StorageEngine {
   /// manifest; stable after recover()).
   std::size_t shard_count() const { return shard_count_; }
 
-  /// WAL/snapshot file stem for one shard: "<coll>" when `of` is 1
-  /// (legacy-compatible), else "<coll>.s<k>of<of>". Doubles as the
-  /// GroupCommitter key and the argument to wal_bytes()/wait_durable().
+  /// WAL/snapshot file stem for one shard: "<coll>.s<k>of<of>", also at
+  /// one shard. Doubles as the GroupCommitter key and the argument to
+  /// wal_bytes()/wait_durable().
   static std::string shard_stem(const std::string& collection,
                                 std::size_t shard, std::size_t of);
 
@@ -144,12 +147,13 @@ class StorageEngine {
   /// DocumentStore::open_durable before the store is visible to anyone.
   /// Performs the shard-count migration when EngineOptions::shards
   /// disagrees with the directory. Throws std::runtime_error when an
-  /// artifact is rejected rather than merely torn: a snapshot that exists
-  /// but fails its checksum/parse, a WAL with mid-log corruption / a wrong
-  /// checksum key, sharded files without a manifest, or `*.json` exports
-  /// without a manifest (pre-engine exports are not imported, and opening
-  /// them as an empty store would hide their records) — refusing to open
-  /// beats silently discarding committed records.
+  /// artifact is rejected rather than merely torn: a manifest whose format
+  /// is not 2, a snapshot that exists but fails its checksum/parse, a WAL
+  /// with mid-log corruption / a wrong checksum key, WAL or snapshot files
+  /// without a manifest, or `*.json` exports without a manifest
+  /// (pre-engine exports are not imported, and opening them as an empty
+  /// store would hide their records) — refusing to open beats silently
+  /// discarding committed records.
   void recover(DocumentStore& store);
 
   /// Non-fatal recovery notes from the last recover() call — one entry per
@@ -159,14 +163,14 @@ class StorageEngine {
     return recovery_warnings_;
   }
 
-  /// Appends one op frame to shard `shard` of `c` and returns its WAL
-  /// sequence number (0 while replaying). Called by Collection mutators
-  /// under that shard's writer lock, before the op is applied in memory.
-  std::uint64_t log_op(Collection& c, std::size_t shard, const json::Json& op);
+  /// Appends one op frame to shard `shard` of `c` and returns its ticket
+  /// (seq 0 while replaying). Called by Collection::commit under that
+  /// shard's writer lock, before the op is applied in memory.
+  CommitTicket log_op(Collection& c, std::size_t shard, const json::Json& op);
 
-  /// One member of a logical cross-shard commit.
+  /// One member of a mutation: a collection shard and its op payload.
   struct CommitMember {
-    const Collection* collection = nullptr;
+    Collection* collection = nullptr;
     std::size_t shard = 0;
     json::Json op;
   };

@@ -150,9 +150,12 @@ std::uint64_t WalWriter::append(const json::Json& payload) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t seq = next_seq_;
   const std::string seq_hex = hex64(seq);
-  const std::string body = seq_hex + " " + payload.dump();
-  const std::string frame =
-      seq_hex + " " + frame_checksum(fmt_, body) + " " + payload.dump() + "\n";
+  // Serialize once: the buffer holds "<seq> <payload>" — the checksummed
+  // bytes — and the checksum is then spliced in after the seq.
+  std::string frame = seq_hex + " ";
+  payload.dump_to(frame);
+  frame.insert(seq_hex.size() + 1, frame_checksum(fmt_, frame) + " ");
+  frame += '\n';
 
   if (fault_ && fault_->fire(FaultPoint::WalAppend))
     throw CrashInjected("injected crash before WAL append (seq " + seq_hex +

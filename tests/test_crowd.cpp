@@ -460,9 +460,12 @@ TEST(SharedRepoDurable, ReopenRecoversUsersKeysAndRecords) {
     repo.upload(key, "pdgeqrf", e);
     repo.sync();
   }
-  // On-disk state is WAL/snapshot, not the diffable export.
-  EXPECT_TRUE(std::filesystem::exists(dir.path / "api_keys.wal") ||
-              std::filesystem::exists(dir.path / "api_keys.snapshot"));
+  // On-disk state is WAL/snapshot, not the diffable export. A fresh
+  // directory opens at one shard.
+  const std::string stem =
+      db::engine::StorageEngine::shard_stem("api_keys", 0, 1);
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (stem + ".wal")) ||
+              std::filesystem::exists(dir.path / (stem + ".snapshot")));
   SharedRepo repo = SharedRepo::open_durable(dir.path);
   EXPECT_EQ(repo.num_users(), 1u);
   EXPECT_EQ(repo.authenticate(key).value(), "alice");

@@ -1,8 +1,10 @@
 // Storage-engine tests (src/db/engine/): WAL framing and torn-tail replay,
 // atomic snapshots, SipHash-2-4 reference vectors, ordered secondary
 // indexes (results byte-identical to a scan), durable open / checkpoint /
-// refusal of pre-engine JSON exports, many-readers/one-writer concurrency,
-// and the crash-recovery property — for every injected fault point (each
+// refusal of pre-engine JSON exports and of unversioned or old-format
+// layouts, many-readers/one-writer concurrency, the write path (one WAL
+// append per mutation, in-memory and durable stores agreeing), and the
+// crash-recovery property — for every injected fault point (each
 // WAL append, torn final record, before/after each snapshot rename),
 // reopening the store yields query results bitwise-identical to an
 // uninterrupted run's committed prefix.
@@ -13,7 +15,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -113,8 +117,8 @@ void power_loss(const fs::path& dir,
   }
 }
 
-/// Whether any snapshot for `coll` exists, regardless of shard layout
-/// ("<coll>.snapshot" or "<coll>.s<k>of<n>.snapshot").
+/// Whether any snapshot for `coll` exists, whatever the shard count
+/// ("<coll>.s<k>of<n>.snapshot").
 bool any_snapshot(const fs::path& dir, const std::string& coll) {
   for (const auto& e : fs::directory_iterator(dir)) {
     const std::string name = e.path().filename().string();
@@ -287,6 +291,45 @@ TEST(Wal, KeyedChecksumRejectsWrongKey) {
   EXPECT_TRUE(refused.error.has_value());
   // An unkeyed reader sees a 16-digit checksum where it expects 8: refused.
   EXPECT_TRUE(engine::replay_wal(path, engine::WalFormat{}).error.has_value());
+}
+
+TEST(Wal, FrameBytesPinned) {
+  // The exact bytes of one frame under each checksum: a change to how
+  // append() serializes must never change what lands on disk. (Both
+  // checksums agree with independent CRC-32 and SipHash-2-4 references
+  // over "000000000000002a <payload>"; the key is the SipHash paper's.)
+  const Json payload = doc(R"({"o":"b","ds":[{"_id":7,"s":"x\"y","v":1.5}]})");
+  struct Case {
+    std::optional<engine::SipHashKey> key;
+    std::string line;
+  };
+  const Case cases[] = {
+      {std::nullopt,
+       "000000000000002a fc8425d0 "
+       R"({"ds":[{"_id":7,"s":"x\"y","v":1.5}],"o":"b"})"
+       "\n"},
+      {engine::SipHashKey{0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL},
+       "000000000000002a 906a93f1f53e705c "
+       R"({"ds":[{"_id":7,"s":"x\"y","v":1.5}],"o":"b"})"
+       "\n"},
+  };
+  for (const Case& tc : cases) {
+    TempDir dir("gptc_engine_wal_pinned");
+    const fs::path path = dir.path() / "t.wal";
+    engine::WalFormat fmt;
+    fmt.checksum_key = tc.key;
+    {
+      engine::WalWriter w(path, fmt, 1, /*next_seq=*/42, 0, nullptr);
+      EXPECT_EQ(w.append(payload), 42u);
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    EXPECT_EQ(buf.str(), tc.line);
+    const auto replay = engine::replay_wal(path, fmt);
+    ASSERT_EQ(replay.records.size(), 1u);
+    EXPECT_EQ(replay.records[0].payload, payload);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -521,6 +564,52 @@ TEST(DurableStore, RefusesPreEngineJsonExport) {
     EXPECT_NE(what.find("no longer imported"), std::string::npos) << what;
   }
   EXPECT_EQ(listing(dir.path()), before);
+}
+
+/// Expects opening `dir` to be refused with an error naming the directory
+/// and containing `why`, leaving every file in place.
+void expect_layout_refused(const fs::path& dir, const std::string& why) {
+  const auto before = listing(dir);
+  try {
+    DocumentStore::open_durable(dir, test_options());
+    ADD_FAILURE() << "expected " << dir << " to be refused (" << why << ")";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(dir.string()), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  EXPECT_EQ(listing(dir), before);
+}
+
+TEST(DurableStore, RefusesOldOrUnversionedLayout) {
+  // A manifest of any format but the current one is refused, whatever
+  // else the directory holds.
+  for (const std::string manifest :
+       {R"({"format":1,"shards":1})", R"({"format":3,"shards":1})",
+        R"({"shards":1})"}) {
+    TempDir dir("gptc_engine_refuse_format");
+    {
+      auto store = DocumentStore::open_durable(dir.path(), test_options());
+      store.collection("samples").insert(doc(R"({"k":1})"));
+    }
+    std::ofstream(dir.path() / "engine.manifest") << manifest << "\n";
+    expect_layout_refused(dir.path(), "format");
+  }
+  // Engine files without any manifest: the unversioned single-shard names
+  // (<coll>.wal / <coll>.snapshot) and suffixed ones alike.
+  for (const std::string file :
+       {"samples.wal", "samples.snapshot", "samples.s0of1.wal"}) {
+    TempDir dir("gptc_engine_refuse_unversioned");
+    if (fs::path(file).extension() == ".wal") {
+      engine::WalWriter w(dir.path() / file, engine::WalFormat{}, 1, 1, 0,
+                          nullptr);
+      w.append(doc(R"({"o":"b","ds":[{"_id":1,"k":1}]})"));
+    } else {
+      engine::write_snapshot(dir.path() / file, doc(R"({"docs":[]})"),
+                             /*last_seq=*/0, nullptr);
+    }
+    expect_layout_refused(dir.path(), "engine.manifest");
+  }
 }
 
 TEST(DurableStore, CorruptSnapshotRefusesToOpen) {
@@ -818,7 +907,9 @@ TEST(Concurrency, ManyReadersOneWriterOnDurableCollection) {
   readers.emplace_back([&store, &done] {
     while (!done.load(std::memory_order_acquire)) {
       store.sync();
-      (void)store.storage_engine()->wal_bytes("samples");
+      auto* eng = store.storage_engine();
+      (void)eng->wal_bytes(
+          engine::StorageEngine::shard_stem("samples", 0, eng->shard_count()));
     }
   });
   for (int i = 0; i < kDocs; ++i) {
@@ -1056,7 +1147,7 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     auto store = DocumentStore::open_durable(dir.path(), sharded_options(4));
     EXPECT_EQ(store.storage_engine()->shard_count(), 4u);
     EXPECT_TRUE(fs::exists(dir.path() / "engine.manifest"));
-    EXPECT_FALSE(fs::exists(dir.path() / "samples.wal"));  // layout retired
+    EXPECT_FALSE(fs::exists(dir.path() / "samples.s0of1.wal"));  // retired
     auto& c = store.collection("samples");
     c.create_index("k");
     EXPECT_EQ(c.to_json().dump(), state1);
@@ -1068,10 +1159,10 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     state4 = c.to_json().dump();
   }
   {
-    // 4 -> 1: back to the exact legacy layout, nothing lost.
+    // 4 -> 1: back to the single-shard layout, nothing lost.
     auto store = DocumentStore::open_durable(dir.path(), sharded_options(1));
     EXPECT_EQ(store.storage_engine()->shard_count(), 1u);
-    EXPECT_TRUE(fs::exists(dir.path() / "samples.snapshot"));
+    EXPECT_TRUE(fs::exists(dir.path() / "samples.s0of1.snapshot"));
     EXPECT_FALSE(fs::exists(dir.path() / "samples.s0of4.wal"));
     EXPECT_EQ(store.collection("samples").to_json().dump(), state4);
   }
@@ -1081,6 +1172,34 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     EXPECT_EQ(store.storage_engine()->shard_count(), 1u);
     EXPECT_EQ(store.collection("samples").to_json().dump(), state4);
   }
+}
+
+TEST(Sharding, SingleShardUsesSuffixedNames) {
+  // One shard is named like any other: <coll>.s0of1, never <coll>.wal.
+  EXPECT_EQ(engine::StorageEngine::shard_stem("samples", 0, 1),
+            "samples.s0of1");
+  TempDir dir("gptc_shard_single_names");
+  std::string state;
+  {
+    auto store = DocumentStore::open_durable(dir.path(), sharded_options(1));
+    auto& c = store.collection("samples");
+    c.insert(doc(R"({"k":1})"));
+    store.checkpoint_all();
+    c.insert(doc(R"({"k":2})"));
+    state = c.to_json().dump();
+  }
+  EXPECT_TRUE(fs::exists(dir.path() / "samples.s0of1.wal"));
+  EXPECT_TRUE(fs::exists(dir.path() / "samples.s0of1.snapshot"));
+  EXPECT_FALSE(fs::exists(dir.path() / "samples.wal"));
+  EXPECT_FALSE(fs::exists(dir.path() / "samples.snapshot"));
+  std::ifstream in(dir.path() / "engine.manifest");
+  std::ostringstream manifest;
+  manifest << in.rdbuf();
+  EXPECT_NE(manifest.str().find(R"("format":2)"), std::string::npos)
+      << manifest.str();
+  auto store = DocumentStore::open_durable(dir.path(), sharded_options(0));
+  EXPECT_EQ(store.storage_engine()->shard_count(), 1u);
+  EXPECT_EQ(store.collection("samples").to_json().dump(), state);
 }
 
 TEST(Sharding, CrashedMigrationLeavesTheOldLayoutIntact) {
@@ -1317,6 +1436,113 @@ TEST(ShardConcurrency, ParallelWritersAcrossShardsKeepGlobalOrder) {
   auto reopened = DocumentStore::open_durable(dir.path(), sharded_options(0));
   EXPECT_EQ(reopened.storage_engine()->shard_count(), 4u);
   EXPECT_EQ(reopened.collection("samples").to_json().dump(), live);
+}
+
+// ---------------------------------------------------------------------------
+// The write path: every mutation is one WAL append, logged before it is
+// applied, whichever log (shard WAL or commit WAL) it lands in.
+
+/// The mutation script the write-path tests share: single inserts, batches
+/// on one shard and across shards, update, remove, and a cross-collection
+/// insert_atomic. `each` runs after every mutation with its name and, for
+/// the mutators that return one, its durability ticket.
+void run_write_script(
+    DocumentStore& store,
+    const std::function<void(const char*, const engine::CommitTicket*)>& each) {
+  auto& c = store.collection("samples");
+  c.insert(doc(R"({"k":1,"v":"a"})"));
+  each("insert", nullptr);
+  const auto one = c.insert_batch({doc(R"({"k":2,"v":"b"})")});
+  each("insert_batch on one shard", &one.ticket);
+  const auto span =
+      c.insert_batch({doc(R"({"k":3})"), doc(R"({"k":4})"),
+                      doc(R"({"k":5})"), doc(R"({"k":6})")});
+  each("insert_batch across shards", &span.ticket);
+  c.update(doc(R"({"k":{"$lte":3}})"), doc(R"({"v":"u"})"));
+  each("update", nullptr);
+  c.remove(doc(R"({"k":4})"));
+  each("remove", nullptr);
+  std::map<std::string, std::vector<Json>> docs;
+  docs["problems"].push_back(doc(R"({"name":"p"})"));
+  docs["samples"].push_back(doc(R"({"k":7})"));
+  docs["samples"].push_back(doc(R"({"k":8})"));
+  const auto atomic = store.insert_atomic(std::move(docs));
+  each("insert_atomic", &atomic.ticket);
+}
+
+TEST(WritePath, OneWalAppendPerMutation) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    TempDir dir("gptc_write_path_appends");
+    FaultInjector fault;  // passive: counts every append, never fires
+    auto store = DocumentStore::open_durable(dir.path(),
+                                             sharded_options(shards, &fault));
+    const auto* eng = store.storage_engine();
+    std::uint64_t mutations = 0;
+    run_write_script(store, [&](const char* what,
+                                const engine::CommitTicket* ticket) {
+      ++mutations;
+      EXPECT_EQ(fault.count(FaultPoint::WalAppend), mutations)
+          << what << " at " << shards << " shard(s)";
+      if (ticket == nullptr) return;
+      EXPECT_NE(ticket->seq, 0u) << what << " at " << shards << " shard(s)";
+      EXPECT_EQ(eng->last_logged_seq(ticket->wal), ticket->seq)
+          << what << " at " << shards << " shard(s)";
+    });
+    EXPECT_EQ(mutations, 6u);
+  }
+}
+
+/// Every collection of a store as one string, for byte-identity checks.
+std::string dump_collections(DocumentStore& store) {
+  std::string out;
+  for (const auto& name : store.collection_names())
+    out += store.collection(name).to_json().dump() + "\n";
+  return out;
+}
+
+TEST(WritePath, InMemoryAndDurableStoresAgree) {
+  DocumentStore memory;
+  run_write_script(memory, [](const char*, const engine::CommitTicket*) {});
+  const std::string expected = dump_collections(memory);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    TempDir dir("gptc_write_path_agree");
+    {
+      auto store =
+          DocumentStore::open_durable(dir.path(), sharded_options(shards));
+      run_write_script(store, [](const char*, const engine::CommitTicket*) {});
+      EXPECT_EQ(dump_collections(store), expected) << shards << " shard(s)";
+    }
+    auto reopened =
+        DocumentStore::open_durable(dir.path(), sharded_options(0));
+    EXPECT_EQ(dump_collections(reopened), expected)
+        << shards << " shard(s), reopened";
+  }
+}
+
+TEST(WritePath, SingleMemberAtomicInsertIsWholeOrNothing) {
+  // insert_atomic on one collection whose documents all land on one shard:
+  // its single append is torn mid-frame, and recovery drops all of it.
+  TempDir dir("gptc_write_path_single_member");
+  {
+    auto store = DocumentStore::open_durable(dir.path(), sharded_options(1));
+    store.collection("samples").insert(doc(R"({"k":0})"));
+  }
+  {
+    FaultInjector fault;
+    fault.arm(FaultPoint::WalShortWrite, 1);
+    auto store =
+        DocumentStore::open_durable(dir.path(), sharded_options(1, &fault));
+    std::map<std::string, std::vector<Json>> docs;
+    docs["samples"].push_back(doc(R"({"k":1})"));
+    docs["samples"].push_back(doc(R"({"k":2})"));
+    EXPECT_THROW(store.insert_atomic(std::move(docs)), CrashInjected);
+    EXPECT_EQ(store.collection("samples").size(), 1u);
+  }
+  auto store = DocumentStore::open_durable(dir.path(), sharded_options(0));
+  const auto& c = store.collection("samples");
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_FALSE(c.exists(doc(R"({"k":1})")));
+  EXPECT_FALSE(c.exists(doc(R"({"k":2})")));
 }
 
 }  // namespace

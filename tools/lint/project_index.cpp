@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <tuple>
 
@@ -1448,28 +1446,23 @@ void ProjectIndex::finalize() {
     if (fn.guard_exempt || (!fn.cls.empty() && fn.base == fn.cls))
       exempt_[i] = 1;
   }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::size_t i = 0; i < functions_.size(); ++i) {
-      if (exempt_[i] || incoming[i].empty()) continue;
-      bool all_exempt = true, any = false, from_lambda = false;
-      for (const auto& [caller, site] : incoming[i]) {
-        if (site->in_lambda) {
-          from_lambda = true;
-          break;
-        }
-        any = true;
-        if (!exempt_[caller]) {
-          all_exempt = false;
-          break;
-        }
-      }
-      if (!from_lambda && any && all_exempt) {
+  // Least fixpoint: exemption only ever turns on, and when it does the
+  // node's non-lambda callees must be revisited.
+  dataflow::solve(
+      functions_.size(),
+      [&](std::size_t i) {
+        if (exempt_[i] || incoming[i].empty()) return false;
+        for (const auto& [caller, site] : incoming[i])
+          if (site->in_lambda || !exempt_[caller]) return false;
         exempt_[i] = 1;
-        changed = true;
-      }
-    }
-  }
+        return true;
+      },
+      [&](std::size_t i) {
+        std::vector<std::size_t> deps;
+        for (const dataflow::Edge& e : graph_.out_edges(i))
+          if (!functions_[i].calls[e.site].in_lambda) deps.push_back(e.to);
+        return deps;
+      });
 
   // Held-at-entry: the locks provably held at EVERY visible non-lambda call
   // site from a non-exempt caller; greatest fixpoint over the call graph so
@@ -1529,18 +1522,6 @@ void ProjectIndex::finalize() {
           if (!functions_[k].calls[e.site].in_lambda) deps.push_back(e.to);
         return deps;
       });
-
-  if (std::getenv("GPTC_LINT_DEBUG_GUARD") != nullptr) {
-    for (std::size_t i = 0; i < functions_.size(); ++i) {
-      if (!functions_[i].is_definition) continue;
-      std::fprintf(stderr, "fn %s exempt=%d entry.top=%d entry={",
-                   functions_[i].qualified.c_str(), int(exempt_[i]),
-                   int(entry_[i].top));
-      for (const auto& [id, ex] : entry_[i].ids)
-        std::fprintf(stderr, "%s%s ", id.c_str(), ex ? "!" : "~");
-      std::fprintf(stderr, "} counted=%zu\n", counted[i].size());
-    }
-  }
 
   const auto guard_of = [&](const std::string& cls,
                             const std::string& member) -> const std::string* {
