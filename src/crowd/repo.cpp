@@ -130,6 +130,28 @@ bool key_doc_matches(const Json& doc, const std::string& api_key) {
                          api_key);
 }
 
+/// The live key document an API key verifies against.
+struct KeyDoc {
+  std::int64_t id;
+  std::string username;
+};
+
+/// Salted hashes cannot be equality-queried (each document has its own
+/// salt), so verification walks the key documents in insertion order,
+/// skipping revoked ones and stopping at the first match — the collection
+/// holds one document per issued key, not per record.
+std::optional<KeyDoc> find_key_doc(const db::Collection& keys,
+                                   const std::string& api_key) {
+  std::optional<KeyDoc> found;
+  keys.visit(Json::object(), [&](const Json& doc) {
+    if (doc.get_or("revoked", Json(false)).as_bool()) return true;
+    if (!key_doc_matches(doc, api_key)) return true;
+    found = KeyDoc{doc.at("_id").as_int(), doc.at("username").as_string()};
+    return false;
+  });
+  return found;
+}
+
 }  // namespace
 
 std::string SharedRepo::register_user(const std::string& username,
@@ -171,19 +193,9 @@ std::optional<std::string> SharedRepo::authenticate(
     const std::string& api_key) const {
   const auto* keys = store_.find_collection("api_keys");
   if (!keys) return std::nullopt;
-  // Salted hashes cannot be equality-queried (each document has its own
-  // salt), so verification walks the key documents in insertion order —
-  // the collection holds one document per issued key, not per record.
-  std::optional<std::string> user;
-  keys->visit(Json::object(), [&](const Json& doc) {
-    if (doc.get_or("revoked", Json(false)).as_bool()) return true;
-    if (key_doc_matches(doc, api_key)) {
-      user = doc.at("username").as_string();
-      return false;
-    }
-    return true;
-  });
-  return user;
+  auto key = find_key_doc(*keys, api_key);
+  if (!key) return std::nullopt;
+  return std::move(key->username);
 }
 
 std::optional<AuthedUser> SharedRepo::authenticate_user(
@@ -199,18 +211,10 @@ std::uint64_t SharedRepo::auth_hash_invocations() {
 
 bool SharedRepo::revoke_api_key(const std::string& api_key) {
   auto& keys = store_.collection("api_keys");
-  std::int64_t id = -1;
-  keys.visit(Json::object(), [&](const Json& doc) {
-    if (doc.get_or("revoked", Json(false)).as_bool()) return true;
-    if (key_doc_matches(doc, api_key)) {
-      id = doc.at("_id").as_int();
-      return false;
-    }
-    return true;
-  });
-  if (id < 0) return false;
+  const auto key = find_key_doc(keys, api_key);
+  if (!key) return false;
   Json q = Json::object();
-  q["_id"] = id;
+  q["_id"] = key->id;
   Json upd = Json::object();
   upd["revoked"] = true;
   return keys.update(q, upd) > 0;
@@ -246,6 +250,16 @@ namespace {
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
+}
+
+/// The integer an uploaded number holds (8 and 8.0 alike); nullopt for a
+/// non-number or a fractional value, where Json::as_int would throw.
+std::optional<std::int64_t> integral(const Json& v) {
+  if (v.is_int()) return v.as_int();
+  if (!v.is_double()) return std::nullopt;
+  const double d = v.as_double();
+  if (std::nearbyint(d) != d || std::abs(d) >= 9.0e18) return std::nullopt;
+  return static_cast<std::int64_t>(d);
 }
 
 std::string normalize_with(const db::Collection* table,
@@ -337,8 +351,9 @@ Json SharedRepo::parameter_names(const std::vector<Json>& records,
 std::map<std::string, std::vector<Json>> SharedRepo::missing_catalog_docs(
     const std::string& user, const std::string& problem_name,
     const std::vector<Json>& records) const {
-  // The catalog collections are indexed on their name field, so these
-  // presence probes are index-only (Collection::exists fast path).
+  // The catalog collections are indexed on their name field, so each
+  // presence probe plans an index scan over one posting list and stops at
+  // the first match.
   std::map<std::string, std::vector<Json>> docs;
   Json pq = Json::object();
   pq["name"] = problem_name;
@@ -511,18 +526,21 @@ bool SharedRepo::record_matches_meta(const Json& record,
               mc->get_or("machine_name", Json("")).as_string()) !=
           normalize_machine(f.machine_name))
         continue;
-      if (!f.partition.empty() &&
-          lower(mc->get_or("partition", Json("")).as_string()) !=
-              lower(f.partition))
-        continue;
+      if (!f.partition.empty()) {
+        const Json partition = mc->get_or("partition", Json(""));
+        if (!partition.is_string() ||
+            lower(partition.as_string()) != lower(f.partition))
+          continue;
+      }
       const auto in_range = [&](const char* key,
                                 std::optional<std::int64_t> lo,
                                 std::optional<std::int64_t> hi) {
         if (!lo && !hi) return true;
         if (!mc->contains(key)) return false;
-        const std::int64_t v = mc->at(key).as_int();
-        if (lo && v < *lo) return false;
-        if (hi && v > *hi) return false;
+        const auto v = integral(mc->at(key));
+        if (!v) return false;  // a malformed upload fails the bound
+        if (lo && *v < *lo) return false;
+        if (hi && *v > *hi) return false;
         return true;
       };
       if (!in_range("nodes", f.nodes_min, f.nodes_max)) continue;
@@ -541,9 +559,16 @@ bool SharedRepo::record_matches_meta(const Json& record,
     if (!sc->contains(canon)) return false;
     std::vector<int> version;
     const Json& spec = sc->at(canon);
-    if (spec.is_object() && spec.contains("version"))
-      for (const auto& part : spec.at("version").as_array())
-        version.push_back(static_cast<int>(part.as_int()));
+    if (spec.is_object() && spec.contains("version")) {
+      // A version that is not an array of integers fails the filter.
+      const Json& parts = spec.at("version");
+      if (!parts.is_array()) return false;
+      for (const auto& part : parts.as_array()) {
+        const auto v = integral(part);
+        if (!v) return false;
+        version.push_back(static_cast<int>(*v));
+      }
+    }
     if (!version_in_range(version, f.version_from, f.version_to))
       return false;
   }

@@ -194,20 +194,6 @@ engine::CommitTicket Collection::commit(
   return ticket;
 }
 
-const engine::OrderedIndex* Collection::exact_index(
-    const Shard& s, const Json& query, const Json** condition) const {
-  // Exactness needs the whole query to BE the one indexed condition: with a
-  // second field in play the index only ever narrows, never answers.
-  if (!query.is_object() || query.as_object().size() != 1) return nullptr;
-  const auto& [key, cond] = *query.as_object().begin();
-  if (key.empty() || key[0] == '$') return nullptr;
-  const auto it = s.indexes.find(key);
-  if (it == s.indexes.end()) return nullptr;
-  if (!engine::OrderedIndex::exact(cond)) return nullptr;
-  *condition = &cond;
-  return &it->second;
-}
-
 const Json* Collection::doc_by_id(const Shard& s, std::int64_t id) {
   const auto it = s.id_pos.find(id);
   return it == s.id_pos.end() ? nullptr : &s.docs[it->second];
@@ -305,20 +291,6 @@ Json Collection::explain(const Json& query) const {
 }
 
 std::size_t Collection::count(const Json& query) const {
-  {
-    const auto locks = lock_shared_all(shards_);
-    const Json* cond = nullptr;
-    if (exact_index(*shards_[0], query, &cond) != nullptr) {
-      // Index-only: posting-list sizes ARE the per-shard match counts.
-      std::size_t n = 0;
-      for (const auto& sp : shards_) {
-        const Json* c = nullptr;
-        const auto* idx = exact_index(*sp, query, &c);
-        n += idx->exact_count(*c);
-      }
-      return n;
-    }
-  }
   std::size_t n = 0;
   visit(query, [&n](const Json&) {
     ++n;
@@ -328,18 +300,6 @@ std::size_t Collection::count(const Json& query) const {
 }
 
 bool Collection::exists(const Json& query) const {
-  {
-    const auto locks = lock_shared_all(shards_);
-    const Json* cond = nullptr;
-    if (exact_index(*shards_[0], query, &cond) != nullptr) {
-      for (const auto& sp : shards_) {
-        const Json* c = nullptr;
-        const auto* idx = exact_index(*sp, query, &c);
-        if (idx->exact_exists(*c)) return true;
-      }
-      return false;
-    }
-  }
   bool found = false;
   visit(query, [&found](const Json&) {
     found = true;

@@ -49,13 +49,12 @@
 // (create_index): $eq/$in/$gt/$gte/$lt/$lte predicates on an indexed path
 // are routed through the index (results stay byte-identical to a scan —
 // the index only narrows candidates), everything else falls back to the
-// full scan; count()/exists() additionally answer straight from the index
-// (no document materialization) when the index serves the query exactly.
+// full scan.
 //
 // One read primitive: visit(query, fn) calls fn on every match in
 // insertion order, in place, under the shard reader locks — fn must not
-// call into the collection or block. find() is its copying wrapper, and
-// count()/exists() use it whenever no index answers them alone. Queries
+// call into the collection or block. find() is its copying wrapper;
+// count() counts its matches and exists() stops at the first. Queries
 // execute as compiled programs (src/db/query): visit/update/remove lower
 // the filter once into a flat program over pre-split paths, then a
 // selectivity-aware planner (query::plan_shard) ranks every usable index
@@ -134,14 +133,10 @@ class Collection {
   /// Copies of all documents matching the query, in insertion order.
   std::vector<Json> find(const Json& query) const;
 
-  /// Matching-document count. Served index-only — without touching a
-  /// single document — when the query is one indexed field whose condition
-  /// the index answers exactly (OrderedIndex::exact); otherwise it falls
-  /// back to the candidate/scan path with the full predicate.
+  /// Matching-document count: a visit() that counts the matches.
   std::size_t count(const Json& query) const;
 
-  /// Whether any document matches. Index-only when count() would be, and
-  /// an early-exit scan otherwise — either way it stops at the first hit.
+  /// Whether any document matches: a visit() that stops at the first one.
   bool exists(const Json& query) const;
 
   /// Removes matching documents; returns how many were removed. The query
@@ -227,12 +222,6 @@ class Collection {
   void rebuild_shard_derived(Shard& s);
   // requires_lock: Shard::mu shared
   static const Json* doc_by_id(const Shard& s, std::int64_t id);
-  /// The single {path: condition} entry an index answers exactly for
-  /// count()/exists(), or nullptr.
-  // requires_lock: Shard::mu shared
-  const engine::OrderedIndex* exact_index(const Shard& s,
-                                          const Json& query,
-                                          const Json** condition) const;
   /// One (collection, shard, op payload) member of a mutation.
   using Member = engine::StorageEngine::CommitMember;
   /// The one write primitive (see the file comment). `members` must be

@@ -64,8 +64,6 @@ bool is_operator_object(const Json& j) {
   return true;
 }
 
-bool is_scalar(const Json& j) { return !j.is_array() && !j.is_object(); }
-
 }  // namespace
 
 void OrderedIndex::add(const Json& doc, std::int64_t id) {
@@ -88,38 +86,20 @@ void OrderedIndex::erase(const Json& doc, std::int64_t id) {
   if (it->second.empty()) postings_.erase(it);
 }
 
-void OrderedIndex::collect_equal(const IndexKey& key,
-                                 std::vector<std::int64_t>& out) const {
-  const auto it = postings_.find(key);
-  if (it == postings_.end()) return;
-  out.insert(out.end(), it->second.begin(), it->second.end());
-}
+template <typename Fn>
+bool OrderedIndex::select_lists(const Json& condition, Fn&& fn) const {
+  const auto equal = [&](const IndexKey& key) {
+    const auto it = postings_.find(key);
+    if (it != postings_.end()) fn(it->second);
+  };
 
-void OrderedIndex::collect_range(IndexKey::Rank rank, const IndexKey* lo,
-                                 bool lo_open, const IndexKey* hi,
-                                 bool hi_open,
-                                 std::vector<std::int64_t>& out) const {
-  auto it = lo ? (lo_open ? postings_.upper_bound(*lo)
-                          : postings_.lower_bound(*lo))
-               : postings_.lower_bound(rank_min(rank));
-  for (; it != postings_.end(); ++it) {
-    const IndexKey& key = it->first;
-    if (key.rank != rank) break;
-    if (hi && (hi_open ? !(key < *hi) : *hi < key)) break;
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-}
-
-std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
-    const Json& condition) const {
-  std::vector<std::int64_t> out;
-
+  // The scalar check: IndexKey::from_json is nullopt exactly for arrays and
+  // objects, which no indexed (scalar) value can equal.
   if (!is_operator_object(condition)) {
-    if (!is_scalar(condition)) return std::nullopt;
     const auto key = IndexKey::from_json(condition);
-    if (!key) return std::nullopt;
-    collect_equal(*key, out);
-    return out;
+    if (!key) return false;
+    equal(*key);
+    return true;
   }
 
   const auto& ops = condition.as_object();
@@ -128,232 +108,82 @@ std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
   const auto exists_it = ops.find("$exists");
   if (exists_it != ops.end() && exists_it->second.is_bool() &&
       !exists_it->second.as_bool())
-    return std::nullopt;
+    return false;
 
   // All operators in one condition are conjunctive, so serving any single
   // one of them yields a superset of the true matches; the first usable op
   // (deterministic: Json::Object is a sorted map) wins.
   for (const auto& [op, operand] : ops) {
     if (op == "$eq") {
-      if (!is_scalar(operand)) continue;
       const auto key = IndexKey::from_json(operand);
       if (!key) continue;
-      collect_equal(*key, out);
-      return out;
+      equal(*key);
+      return true;
     }
     if (op == "$in") {
       if (!operand.is_array()) continue;
-      bool usable = true;
-      for (const auto& item : operand.as_array())
-        if (!is_scalar(item)) {
-          usable = false;
-          break;
-        }
-      if (!usable) continue;
+      std::vector<IndexKey> keys;
+      keys.reserve(operand.as_array().size());
       for (const auto& item : operand.as_array()) {
-        const auto key = IndexKey::from_json(item);
-        if (key) collect_equal(*key, out);
+        auto key = IndexKey::from_json(item);
+        if (!key) break;
+        keys.push_back(std::move(*key));
       }
-      std::sort(out.begin(), out.end());
-      // Duplicate operands ({"$in":[2,2.0]}) merge the same posting list
-      // twice; candidates must stay a set or find()/count() double-report.
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-      return out;
+      if (keys.size() != operand.as_array().size()) continue;
+      // Numerically equal operands ([2, 2.0]) are one key: each distinct key
+      // selects its list once, so the selected ids stay a set.
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end(),
+                             [](const IndexKey& a, const IndexKey& b) {
+                               return !(a < b);
+                             }),
+                 keys.end());
+      for (const auto& key : keys) equal(key);
+      return true;
     }
     if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte") {
       // Range operators only ever match same-class values (the match
       // engine's compare_lt is false across types), and only number/string
       // operands have straightforward semantics — anything else falls back.
       if (!operand.is_number() && !operand.is_string()) continue;
-      const auto bound = IndexKey::from_json(operand);
-      if (!bound) continue;
-      if (op == "$gt")
-        collect_range(bound->rank, &*bound, /*lo_open=*/true, nullptr, false,
-                      out);
-      else if (op == "$gte")
-        collect_range(bound->rank, &*bound, /*lo_open=*/false, nullptr, false,
-                      out);
-      else if (op == "$lt")
-        collect_range(bound->rank, nullptr, false, &*bound, /*hi_open=*/true,
-                      out);
-      else
-        collect_range(bound->rank, nullptr, false, &*bound, /*hi_open=*/false,
-                      out);
-      std::sort(out.begin(), out.end());
-      return out;
+      const IndexKey bound = *IndexKey::from_json(operand);
+      auto it = op == "$gt"    ? postings_.upper_bound(bound)
+                : op == "$gte" ? postings_.lower_bound(bound)
+                               : postings_.lower_bound(rank_min(bound.rank));
+      for (; it != postings_.end() && it->first.rank == bound.rank; ++it) {
+        if (op == "$lt" && !(it->first < bound)) break;
+        if (op == "$lte" && bound < it->first) break;
+        fn(it->second);
+      }
+      return true;
     }
     // $ne, $nin, $exists:true, ... — not index-servable, try the next op.
   }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> OrderedIndex::estimate(const Json& condition) const {
-  // Mirrors candidates() decision-for-decision: same usability tests, same
-  // first-usable-op selection, so the returned size is exactly the length
-  // of the id list candidates() would build (posting lists are disjoint
-  // across keys).
-  const auto equal_size = [&](const IndexKey& key) -> std::size_t {
-    const auto it = postings_.find(key);
-    return it == postings_.end() ? 0 : it->second.size();
-  };
-
-  if (!is_operator_object(condition)) {
-    if (!is_scalar(condition)) return std::nullopt;
-    const auto key = IndexKey::from_json(condition);
-    if (!key) return std::nullopt;
-    return equal_size(*key);
-  }
-
-  const auto& ops = condition.as_object();
-  const auto exists_it = ops.find("$exists");
-  if (exists_it != ops.end() && exists_it->second.is_bool() &&
-      !exists_it->second.as_bool())
-    return std::nullopt;
-
-  for (const auto& [op, operand] : ops) {
-    if (op == "$eq") {
-      if (!is_scalar(operand)) continue;
-      const auto key = IndexKey::from_json(operand);
-      if (!key) continue;
-      return equal_size(*key);
-    }
-    if (op == "$in") {
-      if (!operand.is_array()) continue;
-      bool usable = true;
-      for (const auto& item : operand.as_array())
-        if (!is_scalar(item)) {
-          usable = false;
-          break;
-        }
-      if (!usable) continue;
-      // Distinct keys only, like candidates()'s sort+unique over ids:
-      // [2, 2.0] selects one posting list, not the same list twice.
-      std::vector<IndexKey> keys;
-      for (const auto& item : operand.as_array())
-        if (auto key = IndexKey::from_json(item))
-          keys.push_back(std::move(*key));
-      std::sort(keys.begin(), keys.end());
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (i > 0 && !(keys[i - 1] < keys[i])) continue;
-        n += equal_size(keys[i]);
-      }
-      return n;
-    }
-    if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte") {
-      if (!operand.is_number() && !operand.is_string()) continue;
-      const auto bound = IndexKey::from_json(operand);
-      if (!bound) continue;
-      auto it = (op == "$gt")    ? postings_.upper_bound(*bound)
-                : (op == "$gte") ? postings_.lower_bound(*bound)
-                                 : postings_.lower_bound(rank_min(bound->rank));
-      std::size_t n = 0;
-      for (; it != postings_.end(); ++it) {
-        const IndexKey& key = it->first;
-        if (key.rank != bound->rank) break;
-        if (op == "$lt" && !(key < *bound)) break;
-        if (op == "$lte" && *bound < key) break;
-        n += it->second.size();
-      }
-      return n;
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-/// Shared walk for exact_count / exact_exists: visits every posting list
-/// the condition selects. `visit` returns true to keep walking, false to
-/// stop early (exists probes).
-template <typename Postings, typename Visit>
-void walk_exact(const Postings& postings, const Json& condition,
-                const Visit& visit) {
-  const auto visit_equal = [&](const IndexKey& key) {
-    const auto it = postings.find(key);
-    return it == postings.end() || visit(it->second);
-  };
-
-  if (!is_operator_object(condition)) {
-    const auto key = IndexKey::from_json(condition);
-    if (key) visit_equal(*key);
-    return;
-  }
-  const auto& [op, operand] = *condition.as_object().begin();
-  if (op == "$eq") {
-    const auto key = IndexKey::from_json(operand);
-    if (key) visit_equal(*key);
-    return;
-  }
-  if (op == "$in") {
-    // Numerically equal operands ([2, 2.0]) map to one IndexKey; visiting
-    // each distinct key once keeps the count a set cardinality, exactly
-    // like candidates()'s sort+unique.
-    std::vector<IndexKey> keys;
-    for (const auto& item : operand.as_array())
-      if (auto key = IndexKey::from_json(item)) keys.push_back(std::move(*key));
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i > 0 && !(keys[i - 1] < keys[i])) continue;  // duplicate key
-      if (!visit_equal(keys[i])) return;
-    }
-    return;
-  }
-  const auto bound = IndexKey::from_json(operand);
-  if (!bound) return;
-  auto it = (op == "$gt")    ? postings.upper_bound(*bound)
-            : (op == "$gte") ? postings.lower_bound(*bound)
-                             : postings.lower_bound(rank_min(bound->rank));
-  for (; it != postings.end(); ++it) {
-    const IndexKey& key = it->first;
-    if (key.rank != bound->rank) break;
-    if (op == "$lt" && !(key < *bound)) break;
-    if (op == "$lte" && *bound < key) break;
-    if (!visit(it->second)) return;
-  }
-}
-
-}  // namespace
-
-bool OrderedIndex::exact(const Json& condition) {
-  if (!is_operator_object(condition))
-    return is_scalar(condition) && IndexKey::from_json(condition).has_value();
-  const auto& ops = condition.as_object();
-  // Operators are conjunctive and candidates() only ever serves one of
-  // them, so exactness requires the condition to BE one operator.
-  if (ops.size() != 1) return false;
-  const auto& [op, operand] = *ops.begin();
-  if (op == "$eq")
-    return is_scalar(operand) && IndexKey::from_json(operand).has_value();
-  if (op == "$in") {
-    if (!operand.is_array()) return false;
-    for (const auto& item : operand.as_array())
-      if (!is_scalar(item)) return false;
-    return true;
-  }
-  if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte")
-    // Same restriction as candidates(): ordering across types is false in
-    // the match engine, and only number/string operands order usefully.
-    return operand.is_number() || operand.is_string();
   return false;
 }
 
-std::size_t OrderedIndex::exact_count(const Json& condition) const {
-  std::size_t n = 0;
-  walk_exact(postings_, condition, [&](const std::vector<std::int64_t>& ids) {
-    n += ids.size();
-    return true;
-  });
-  return n;
+std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
+    const Json& condition) const {
+  std::vector<std::int64_t> out;
+  std::size_t lists = 0;
+  const bool usable =
+      select_lists(condition, [&](const std::vector<std::int64_t>& ids) {
+        out.insert(out.end(), ids.begin(), ids.end());
+        ++lists;
+      });
+  if (!usable) return std::nullopt;
+  // Each posting list ascends; only a concatenation of several needs a sort.
+  // Lists are disjoint across keys, so the result is already a set.
+  if (lists > 1) std::sort(out.begin(), out.end());
+  return out;
 }
 
-bool OrderedIndex::exact_exists(const Json& condition) const {
-  bool found = false;
-  walk_exact(postings_, condition, [&](const std::vector<std::int64_t>& ids) {
-    found = found || !ids.empty();
-    return !found;
-  });
-  return found;
+std::optional<std::size_t> OrderedIndex::estimate(const Json& condition) const {
+  std::size_t n = 0;
+  const bool usable = select_lists(
+      condition, [&n](const std::vector<std::int64_t>& ids) { n += ids.size(); });
+  if (!usable) return std::nullopt;
+  return n;
 }
 
 }  // namespace gptc::db::engine

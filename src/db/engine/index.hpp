@@ -12,7 +12,8 @@
 // it (non-scalar operand, unsupported operator, or a `$exists: false` that
 // can match documents absent from the index). The caller always re-runs the
 // full match predicate over the candidates, so the index only ever narrows
-// work, never changes results. Documents whose value at the path is missing
+// work, never changes results — no read (count()/exists() included) is
+// answered from the index alone. Documents whose value at the path is missing
 // or non-scalar (array/object) are not indexed — they cannot match any
 // scalar $eq/$in/range condition, so skipping them is sound.
 #pragma once
@@ -67,41 +68,21 @@ class OrderedIndex {
   std::optional<std::vector<std::int64_t>> candidates(
       const json::Json& condition) const;
 
-  /// Number of ids candidates(condition) would return, computed from the
-  /// posting-list bounds without materializing the id vector. nullopt
-  /// exactly when candidates() would be nullopt, so the planner can rank
-  /// every usable index by selectivity and materialize only the winners.
-  /// (Posting lists are disjoint across keys — one scalar per document per
-  /// path — so summing selected list sizes IS the candidate count; only
-  /// duplicate $in operands need the same key-dedup candidates() applies.)
+  /// Number of ids candidates(condition) would return — the summed sizes of
+  /// the same selected posting lists, without materializing the id vector.
+  /// nullopt exactly when candidates() is, so the planner can rank every
+  /// usable index by selectivity and materialize only the winners.
   std::optional<std::size_t> estimate(const json::Json& condition) const;
 
-  /// True when the index serves `condition` EXACTLY — the posting lists are
-  /// the match set, not merely a superset — so count()/exists() may consult
-  /// the index alone, never materializing (or even re-matching) a document.
-  /// Holds for a bare scalar, a single {$eq: scalar}, a single {$in:
-  /// [scalars]}, or a single range operator with a number/string operand:
-  /// in each case the match engine's semantics (cross-type numeric
-  /// equality, same-class-only ordering) coincide with IndexKey's, and
-  /// documents absent from the index (missing path, array/object value)
-  /// cannot match. Conditions with several operators are only ever served
-  /// as a superset (candidates() picks one op), so they are not exact.
-  static bool exact(const json::Json& condition);
-
-  /// Index-only match count for an exact() condition. Sums posting-list
-  /// sizes without building an id vector; $in dedupes numerically equal
-  /// operands ([2, 2.0]) the same way candidates() does.
-  std::size_t exact_count(const json::Json& condition) const;
-
-  /// Index-only existence probe for an exact() condition; stops at the
-  /// first non-empty posting list.
-  bool exact_exists(const json::Json& condition) const;
-
  private:
-  void collect_equal(const IndexKey& key, std::vector<std::int64_t>& out) const;
-  void collect_range(IndexKey::Rank rank, const IndexKey* lo, bool lo_open,
-                     const IndexKey* hi, bool hi_open,
-                     std::vector<std::int64_t>& out) const;
+  /// The one posting-list selector behind candidates() and estimate(): every
+  /// decision mapping a condition to posting lists lives here. Returns
+  /// false when the index cannot serve `condition`; otherwise calls
+  /// `fn(ids)` on each selected list in key order. Lists are disjoint
+  /// across keys (one scalar per document per path) and each key is
+  /// selected at most once, so the selected ids form a set.
+  template <typename Fn>
+  bool select_lists(const json::Json& condition, Fn&& fn) const;
 
   query::PathRef path_;
   std::map<IndexKey, std::vector<std::int64_t>> postings_;

@@ -333,6 +333,54 @@ TEST_F(RepoTest, SoftwareVersionFilter) {
   EXPECT_EQ(records[0].at("tuning_parameters").at("mb").as_int(), 4);
 }
 
+TEST_F(RepoTest, MalformedRecordFailsBoundsWithoutBreakingQueries) {
+  repo_.upload(alice_key_, "pdgeqrf", make_upload(4, 1.0, "Cori", "knl", 32));
+  for (const char* nodes : {R"("two")", "32.5", "null", "[32]"}) {
+    EvalUpload bad = make_upload(5, 2.0, "Cori", "knl", 32);
+    bad.machine_configuration["nodes"] = Json::parse(nodes);
+    repo_.upload(alice_key_, "pdgeqrf", bad);
+  }
+  EvalUpload bad_cores = make_upload(6, 3.0, "Cori", "knl", 32);
+  bad_cores.machine_configuration["cores"] = "many";
+  repo_.upload(alice_key_, "pdgeqrf", bad_cores);
+  EvalUpload integral = make_upload(7, 4.0, "Cori", "knl", 32);
+  integral.machine_configuration["nodes"] = 32.0;
+  repo_.upload(alice_key_, "pdgeqrf", integral);
+
+  MetaDescription m = base_meta(alice_key_);
+  MachineFilter g;
+  g.machine_name = "Cori";
+  g.nodes_min = 16;
+  g.nodes_max = 64;
+  g.cores_min = 1;
+  m.machine_filters.push_back(g);
+  auto records = repo_.query_function_evaluations(m);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].at("tuning_parameters").at("mb").as_int(), 4);
+  EXPECT_EQ(records[1].at("tuning_parameters").at("mb").as_int(), 7);
+  EvalUpload bad_partition = make_upload(9, 6.0, "Cori", "knl", 32);
+  bad_partition.machine_configuration["partition"] = 5;
+  repo_.upload(alice_key_, "pdgeqrf", bad_partition);
+  m.machine_filters.front().partition = "knl";
+  EXPECT_EQ(repo_.query_function_evaluations(m).size(), 2u);
+
+  for (const char* version : {R"("8.1")", R"([8,"1"])", "[8.5]", "8"}) {
+    EvalUpload bad = make_upload(8, 5.0);
+    bad.software_configuration =
+        Json::parse(std::string(R"({"gcc":{"version":)") + version + "}}");
+    repo_.upload(alice_key_, "pdgeqrf", bad);
+  }
+  m = base_meta(alice_key_);
+  SoftwareFilter f;
+  f.name = "gcc";
+  f.version_from = {8, 0, 0};
+  m.software_filters.push_back(f);
+  records = repo_.query_function_evaluations(m);
+  ASSERT_EQ(records.size(), 8u);  // every upload but the malformed versions
+  for (const Json& r : records)
+    EXPECT_NE(r.at("tuning_parameters").at("mb").as_int(), 8);
+}
+
 TEST_F(RepoTest, UserFilterTrustsSpecificUploaders) {
   repo_.upload(alice_key_, "pdgeqrf", make_upload(4, 1.0));
   repo_.upload(bob_key_, "pdgeqrf", make_upload(5, 2.0));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "collection_reads.hpp"
+#include "env_shards.hpp"
 
 namespace gptc::db {
 namespace {
@@ -13,7 +14,7 @@ Json doc(const std::string& text) { return Json::parse(text); }
 
 class CollectionTest : public ::testing::Test {
  protected:
-  CollectionTest() : c_("samples") {
+  CollectionTest() : c_("samples", env_shards()) {
     c_.insert(doc(R"({"name":"a","value":1,"nested":{"x":10}})"));
     c_.insert(doc(R"({"name":"b","value":2,"nested":{"x":20}})"));
     c_.insert(doc(R"({"name":"c","value":3,"tags":["fast"]})"));
@@ -122,13 +123,15 @@ TEST(DocumentStoreTest, CollectionsCreatedOnDemand) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-only count()/exists() fast paths: answers must be identical to the
-// scan, whether the query is index-servable exactly, only narrowable, or
-// not indexed at all.
+// count()/exists() are visit() wrappers: on an indexed collection (the
+// planner narrows candidates) and a plain one (full scan) they must agree
+// with each other and with find(), whether the index selects exactly the
+// matches, only a superset, or nothing at all.
 
 class CountExistsParity : public ::testing::Test {
  protected:
-  CountExistsParity() : indexed_("i"), plain_("p") {
+  CountExistsParity()
+      : indexed_("i", env_shards()), plain_("p", env_shards()) {
     indexed_.create_index("k");
     indexed_.create_index("s");
     for (int i = 0; i < 20; ++i) {
@@ -155,8 +158,8 @@ class CountExistsParity : public ::testing::Test {
 };
 
 TEST_F(CountExistsParity, ExactlyIndexServableQueries) {
-  // Single indexed field, single operator: served from the index without
-  // touching a document.
+  // Single indexed field, single operator: the selected posting lists are
+  // exactly the matches.
   check(R"({"k":2})");
   check(R"({"k":99})");
   check(R"({"k":{"$eq":3}})");
@@ -170,9 +173,9 @@ TEST_F(CountExistsParity, ExactlyIndexServableQueries) {
 }
 
 TEST_F(CountExistsParity, FallbackQueries) {
-  // Not exactly servable: multi-operator, multi-field, negations,
-  // unindexed paths, logical combinators — all must fall back to the
-  // scan/candidate path and still agree.
+  // Multi-operator, multi-field, negations, unindexed paths, logical
+  // combinators: the index selects a superset or nothing, and the re-check
+  // or full scan must still agree.
   check(R"({})");
   check(R"({"k":{"$gte":1,"$lt":3}})");
   check(R"({"k":{"$ne":2}})");

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -32,6 +31,7 @@
 #include "db/engine/siphash.hpp"
 #include "db/engine/snapshot.hpp"
 #include "db/engine/wal.hpp"
+#include "env_shards.hpp"
 
 namespace gptc::db {
 namespace {
@@ -59,16 +59,6 @@ class TempDir {
  private:
   fs::path path_;
 };
-
-/// Shard count the suite runs the durable tests at: GPTC_SHARDS=N re-runs
-/// the whole crash matrix against the sharded layout (the CI engine job
-/// sets 4); unset keeps the single-shard default so both layouts stay
-/// covered.
-std::size_t env_shards() {
-  const char* v = std::getenv("GPTC_SHARDS");
-  if (v == nullptr || *v == '\0') return 0;
-  return static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-}
 
 std::size_t effective_shards() {
   const std::size_t s = env_shards();

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -470,6 +471,78 @@ TEST(Planner, ExplainShape) {
       EXPECT_TRUE(idx.at("applied").is_bool());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Index selection: estimate() and candidates() are two readings of one
+// posting-list selection, and the selection never drops a match.
+
+TEST(IndexSelection, EstimateMatchesCandidatesAndCoversMatches) {
+  std::mt19937_64 rng(0x1D5E1EC7ULL);
+  std::vector<Json> docs;
+  for (int i = 0; i < 160; ++i) docs.push_back(random_document(rng));
+  // Whole arrays and objects at a path are present but never indexed.
+  docs.push_back(doc(R"({"a":[2],"nested":{"x":2},"arr":[2,2.0]})"));
+  docs.push_back(doc(R"({"a":{"$eq":2},"k":2.0,"s":"2"})"));
+
+  std::vector<Json> conditions;
+  for (int i = 0; i < 240; ++i) conditions.push_back(random_condition(rng));
+  for (const char* text : {
+           R"({"$exists":false})",
+           R"({"$exists":false,"$gt":0})",
+           R"({"$exists":true,"$lt":3})",
+           R"({"$gte":1,"$lt":3})",
+           R"({"$ne":2,"$eq":2})",
+           R"({"$nin":[1],"$in":[1,2]})",
+           R"({"$lte":"y","$gt":1})",
+           R"({"$in":[2,2.0]})",
+           R"({"$in":[2,2.0,"2",true,null,2]})",
+           R"({"$in":[]})",
+           R"({"$in":[[2],2]})",
+           R"({"$in":[{"x":2}]})",
+           R"({"$gt":"m"})",
+           R"({"$gte":true})",
+           R"({"$lt":null})",
+           R"({"$eq":[2]})",
+           R"({"$eq":{"x":2}})",
+           R"({"$gt":[1]})",
+           R"({"$lte":{"x":1}})",
+           R"({"x":2})",
+           R"([2])",
+           R"({})",
+           R"(2.0)",
+           R"(null)",
+       })
+    conditions.push_back(doc(text));
+
+  std::size_t usable = 0;
+  for (const char* path : {"a", "b", "k", "s", "arr", "arr.0", "arr.5",
+                           "nested", "nested.x", "missing", "a.deep"}) {
+    engine::OrderedIndex idx(path);
+    for (std::size_t i = 0; i < docs.size(); ++i)
+      idx.add(docs[i], static_cast<std::int64_t>(3 * i + 1));
+    for (const Json& cond : conditions) {
+      const auto est = idx.estimate(cond);
+      const auto cands = idx.candidates(cond);
+      const std::string what = std::string(path) + ": " + cond.dump();
+      ASSERT_EQ(est.has_value(), cands.has_value()) << what;
+      if (!cands) continue;
+      ++usable;
+      EXPECT_EQ(*est, cands->size()) << what;
+      EXPECT_TRUE(std::adjacent_find(cands->begin(), cands->end(),
+                                     std::greater_equal<>()) == cands->end())
+          << what;
+      Json q = Json::object();
+      q[path] = cond;
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        if (!oracle::matches(docs[i], q)) continue;
+        EXPECT_TRUE(std::binary_search(cands->begin(), cands->end(),
+                                       static_cast<std::int64_t>(3 * i + 1)))
+            << what << " drops " << docs[i].dump();
+      }
+    }
+  }
+  EXPECT_GT(usable, 1000u);  // the sweep exercises the index, not fallbacks
 }
 
 // ---------------------------------------------------------------------------
