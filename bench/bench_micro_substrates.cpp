@@ -1,9 +1,13 @@
 // google-benchmark microbenchmarks of the library substrates: dense
 // kernels, GP fit/predict scaling, LCM fit, acquisition search, Sobol
-// estimators, JSON parsing and document-store queries.
+// estimators, JSON parsing and encoding (synthetic and on the crowd_pull
+// response shape) and document-store queries.
 //
 //   $ ./bench_micro_substrates [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "core/acquisition.hpp"
 #include "db/document_store.hpp"
@@ -198,6 +202,72 @@ void BM_JsonParse(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonParse);
+
+/// The records of one crowd_pull query response: 190 func_eval records
+/// shaped as SharedRepo stores them (~62 KB of compact JSON), parsed from
+/// their text so each object is exact-size, as in the store.
+std::vector<json::Json> pull_records() {
+  rng::Rng rng(21);
+  std::vector<json::Json> records;
+  for (std::int64_t i = 0; i < 190; ++i) {
+    json::Json tuning = json::Json::object();
+    tuning["mb"] = rng.uniform_int(1, 15);
+    tuning["nb"] = rng.uniform_int(1, 15);
+    tuning["lg2npernode"] = rng.uniform_int(0, 4);
+    tuning["p"] = rng.uniform_int(1, 255);
+    json::Json r = json::Json::object();
+    r["_id"] = 10000 + 7 * i;
+    r["accessibility"] = "public";
+    r["machine_configuration"] = json::Json::object(
+        {{"cores", 32}, {"machine_name", "Cori"}, {"nodes", 8},
+         {"partition", "haswell"}});
+    r["output"] = json::Json::object({{"runtime", rng.uniform(0.5, 50.0)}});
+    r["problem"] = "app3";
+    r["software_configuration"] = json::Json::object();
+    r["task_parameters"] = json::Json::object({{"m", 5000}, {"n", 1750}});
+    r["tuning_parameters"] = std::move(tuning);
+    r["user"] = "tuner";
+    records.push_back(json::Json::parse(r.dump()));
+  }
+  return records;
+}
+
+/// The query response payload the client parses:
+/// {"ok":true,"result":{"count":190,"records":[...]}}.
+void BM_JsonParseRecords(benchmark::State& state) {
+  const std::vector<json::Json> records = pull_records();
+  json::Json payload = json::Json::object();
+  payload["ok"] = true;
+  payload["result"]["count"] = records.size();
+  payload["result"]["records"] = json::Json(records);
+  const std::string text = payload.dump();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(json::Json::parse(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParseRecords);
+
+/// The server's serialization of the same response's records: each stored
+/// record's compact bytes appended to one comma-separated buffer.
+void BM_JsonEncodeRecords(benchmark::State& state) {
+  const std::vector<json::Json> records = pull_records();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out;
+    for (const json::Json& r : records) {
+      if (!out.empty()) out += ',';
+      r.dump_to(out);
+    }
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonEncodeRecords);
 
 void BM_DbQuery(benchmark::State& state) {
   db::Collection coll("func_eval");

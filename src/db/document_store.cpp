@@ -129,6 +129,9 @@ void Collection::add_batch_members(std::vector<Json> documents,
   for (std::size_t i = 0; i < documents.size(); ++i) {
     const std::int64_t id = base + static_cast<std::int64_t>(i);
     documents[i]["_id"] = id;
+    // Stored for the collection's lifetime: drop the slack that building
+    // the document up key by key left in its member vector.
+    documents[i].as_object().shrink_to_fit();
     ids.push_back(id);
     by_shard[shard_of(id)].push_back(std::move(documents[i]));
   }

@@ -112,7 +112,7 @@ bool OrderedIndex::select_lists(const Json& condition, Fn&& fn) const {
 
   // All operators in one condition are conjunctive, so serving any single
   // one of them yields a superset of the true matches; the first usable op
-  // (deterministic: Json::Object is a sorted map) wins.
+  // (deterministic: Json::Object keeps its keys sorted) wins.
   for (const auto& [op, operand] : ops) {
     if (op == "$eq") {
       const auto key = IndexKey::from_json(operand);

@@ -56,8 +56,8 @@ class PathRef {
 const json::Json* lookup(const json::Json& document, const PathRef& path);
 
 /// Resolves a dotted path without pre-splitting, walking string_view
-/// segments in place (no allocation; object lookup is heterogeneous via
-/// the Json::Object transparent comparator). db::lookup_path delegates
+/// segments in place (no allocation; Json::Object::find takes a
+/// string_view). db::lookup_path delegates
 /// here, so every caller shares the allocation-free core.
 const json::Json* lookup(const json::Json& document, std::string_view path);
 

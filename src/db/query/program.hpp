@@ -44,9 +44,9 @@ class CompiledQuery {
   /// order. Every document matching the query satisfies every conjunct, so
   /// index candidates for any subset intersect to a superset of the match
   /// set: this is the planner's input. Pointers reference the retained
-  /// query tree (std::map nodes — stable addresses).
+  /// query tree, which is never modified (stable addresses).
   struct Conjunct {
-    const std::string* path = nullptr;       // dotted path (map key)
+    const std::string* path = nullptr;       // dotted path (object key)
     const json::Json* condition = nullptr;   // bare scalar or operator object
   };
   const std::vector<Conjunct>& conjuncts() const { return conjuncts_; }
@@ -119,7 +119,7 @@ class CompiledQuery {
   bool eval_field(const Node& node, const json::Json& document) const;
 
   // The compiled query retains its own copy of the expression: operand
-  // pointers reference nodes inside this tree (map nodes and array heap
+  // pointers reference nodes inside this tree (object and array heap
   // buffers, which are stable under move), so a CompiledQuery stays valid
   // after the caller's query goes away and after being moved itself.
   std::unique_ptr<json::Json> root_;

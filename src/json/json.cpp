@@ -1,10 +1,12 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 namespace gptc::json {
 
@@ -28,7 +30,81 @@ const char* type_name(Json::Type t) {
                   type_name(got));
 }
 
+bool key_less(const Object::value_type& member, std::string_view key) {
+  return std::string_view(member.first) < key;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Object
+
+Object::Object(std::initializer_list<value_type> items) {
+  items_.reserve(items.size());
+  for (const auto& [key, value] : items)
+    if (count(key) == 0) (*this)[key] = value;
+}
+
+Object::Object(std::vector<value_type> items) : items_(std::move(items)) {
+  const auto not_ascending = [](const value_type& a, const value_type& b) {
+    return !(a.first < b.first);
+  };
+  if (std::adjacent_find(items_.begin(), items_.end(), not_ascending) ==
+      items_.end())
+    return;
+  // A stable sort leaves equal keys in input order, so the last of each run
+  // is the one to keep.
+  std::stable_sort(items_.begin(), items_.end(),
+                   [](const value_type& a, const value_type& b) {
+                     return a.first < b.first;
+                   });
+  auto out = items_.begin();
+  for (auto it = items_.begin(); it != items_.end(); ++it) {
+    const auto next = std::next(it);
+    if (next != items_.end() && next->first == it->first) continue;
+    if (out != it) *out = std::move(*it);
+    ++out;
+  }
+  if (out == items_.end()) return;
+  items_.erase(out, items_.end());
+  items_.shrink_to_fit();
+}
+
+Object::const_iterator Object::find(std::string_view key) const {
+  const auto it = std::lower_bound(items_.begin(), items_.end(), key, key_less);
+  return it != items_.end() && it->first == key ? it : items_.end();
+}
+
+std::size_t Object::count(std::string_view key) const {
+  return find(key) == end() ? 0 : 1;
+}
+
+Json& Object::operator[](std::string_view key) {
+  const auto it = std::lower_bound(items_.begin(), items_.end(), key, key_less);
+  if (it != items_.end() && it->first == key) return it->second;
+  return items_.emplace(it, std::string(key), Json())->second;
+}
+
+void Object::shrink_to_fit() { items_.shrink_to_fit(); }
+
+bool Object::operator==(const Object& other) const {
+  return items_ == other.items_;
+}
+
+// ---------------------------------------------------------------------------
+// Json
+
+Json& Json::operator=(const Json& other) {
+  auto tmp = other.value_;
+  value_ = std::move(tmp);
+  return *this;
+}
+
+Json& Json::operator=(Json&& other) {
+  auto tmp = std::move(other.value_);
+  value_ = std::move(tmp);
+  return *this;
+}
 
 bool Json::as_bool() const {
   if (auto* b = std::get_if<bool>(&value_)) return *b;
@@ -333,30 +409,33 @@ class Parser {
 
   Json parse_object() {
     expect('{');
-    Object obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return Json(std::move(obj));
+      return Json(Object());
     }
+    // Members are appended in text order to a stack that nested objects
+    // share; the finished object moves its slice into one exact-size
+    // vector, and Object sorts it only if the keys came out of order.
+    const auto base = static_cast<std::ptrdiff_t>(members_.size());
     while (true) {
       skip_ws();
       if (peek() != '"') fail("expected string key");
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      // Our writer emits keys in ascending order: append those at the end
-      // in O(1); anything else takes the map's insert, duplicates last-wins.
-      if (obj.empty() || obj.rbegin()->first < key)
-        obj.emplace_hint(obj.end(), std::move(key), parse_value());
-      else
-        obj[std::move(key)] = parse_value();
+      Json value = parse_value();
+      members_.emplace_back(std::move(key), std::move(value));
       skip_ws();
       const char c = next();
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return Json(std::move(obj));
+    std::vector<Object::value_type> items(
+        std::make_move_iterator(members_.begin() + base),
+        std::make_move_iterator(members_.end()));
+    members_.erase(members_.begin() + base, members_.end());
+    return Json(Object(std::move(items)));
   }
 
   Json parse_array() {
@@ -503,6 +582,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::vector<Object::value_type> members_;  // open objects' members
 };
 
 }  // namespace

@@ -10,17 +10,59 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
 namespace gptc::json {
 
 class Json;
+
+/// A JSON object: its members in one vector, sorted by key (byte order) with
+/// no key twice. Sorted keys make serialization deterministic, which the
+/// database layer values more than insertion order; one exact-size vector
+/// holds a small record's members in a single allocation, where a node-based
+/// map paid one per key. Keys are probed with a string_view (binary search,
+/// no temporary std::string per lookup on the query hot path).
+///
+/// It offers the map subset the code uses: find/count, operator[], iteration
+/// over [key, value] and size/empty. Unlike std::map, inserting a key moves
+/// the members after it, so references and iterators into an object do not
+/// survive an insertion into it.
+class Object {
+ public:
+  using value_type = std::pair<std::string, Json>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  Object() = default;
+  /// Of two equal keys the first is kept, as std::map's constructor does.
+  Object(std::initializer_list<value_type> items);
+  /// Takes members in any order; of two equal keys the last is kept (the
+  /// parser's duplicate-key rule). Keys already ascending, as the writer
+  /// emits them, cost one comparison each and no reordering.
+  explicit Object(std::vector<value_type> items);
+
+  const_iterator begin() const;
+  const_iterator end() const;
+  std::size_t size() const;
+  bool empty() const;
+
+  const_iterator find(std::string_view key) const;
+  std::size_t count(std::string_view key) const;
+  /// The value at `key`, inserted as null at its sorted place when missing.
+  Json& operator[](std::string_view key);
+
+  /// Releases the capacity beyond size() that insertions left behind.
+  void shrink_to_fit();
+
+  bool operator==(const Object& other) const;
+
+ private:
+  std::vector<value_type> items_;
+};
 
 /// Thrown on parse errors (with 1-based line/column info in the message) and
 /// on type mismatches in checked accessors.
@@ -36,11 +78,7 @@ class Json {
   // Member aliases (namespace-level spellings below): declared before the
   // Type enumerators so `Type::Array` never shadows the alias (-Wshadow).
   using Array = std::vector<Json>;
-  /// Object keys are kept sorted (std::map) — deterministic serialization
-  /// is more valuable to the database layer than insertion order. The
-  /// transparent comparator lets the query layer probe keys with a
-  /// string_view (no temporary std::string per lookup on the hot path).
-  using Object = std::map<std::string, Json, std::less<>>;
+  using Object = json::Object;
 
   enum class Type { Null, Bool, Int, Double, String, Array, Object };
 
@@ -49,17 +87,10 @@ class Json {
   Json(Json&&) = default;
   /// Assignment is self-aliasing-safe: `doc = doc.at("child")` must work
   /// even though the right-hand side lives inside the left-hand side's
-  /// storage (copy-and-swap).
-  Json& operator=(const Json& other) {
-    auto tmp = other.value_;
-    value_ = std::move(tmp);
-    return *this;
-  }
-  Json& operator=(Json&& other) {
-    auto tmp = std::move(other.value_);
-    value_ = std::move(tmp);
-    return *this;
-  }
+  /// storage (copy-and-swap). Defined out of line: inlined, gcc 12 reports
+  /// the variant's moved-through temporary as maybe-uninitialized.
+  Json& operator=(const Json& other);
+  Json& operator=(Json&& other);
   Json(std::nullptr_t) : value_(nullptr) {}
   Json(bool b) : value_(b) {}
   Json(int i) : value_(static_cast<std::int64_t>(i)) {}
@@ -74,8 +105,7 @@ class Json {
   static Json array(std::initializer_list<Json> items = {}) {
     return Json(Array(items));
   }
-  static Json object(
-      std::initializer_list<std::pair<const std::string, Json>> items = {}) {
+  static Json object(std::initializer_list<Object::value_type> items = {}) {
     return Json(Object(items));
   }
 
@@ -102,6 +132,7 @@ class Json {
   /// Object element access. The const form throws JsonError if the key is
   /// missing; the mutable form inserts (like std::map) and converts a Null
   /// value to an Object first so documents can be built up incrementally.
+  /// An insertion invalidates references to the object's other members.
   const Json& at(const std::string& key) const;
   Json& operator[](const std::string& key);
 
@@ -141,6 +172,11 @@ class Json {
 };
 
 using Array = Json::Array;
-using Object = Json::Object;
+
+// Defined here, where Json is complete.
+inline Object::const_iterator Object::begin() const { return items_.begin(); }
+inline Object::const_iterator Object::end() const { return items_.end(); }
+inline std::size_t Object::size() const { return items_.size(); }
+inline bool Object::empty() const { return items_.empty(); }
 
 }  // namespace gptc::json

@@ -254,6 +254,69 @@ TEST(JsonDump, EveryByteRoundTrips) {
   }
 }
 
+TEST(JsonObject, MissingKeyBetweenExistingKeys) {
+  const Json j = Json::parse(R"({"a":1,"c":3})");
+  const auto& obj = j.as_object();
+  EXPECT_EQ(obj.find(std::string_view("b")), obj.end());
+  EXPECT_EQ(obj.count(std::string_view("b")), 0u);
+  EXPECT_FALSE(j.contains("b"));
+  EXPECT_THROW(j.at("b"), JsonError);
+  EXPECT_EQ(j.get_or("b", Json(7)).as_int(), 7);
+  // Below the first and above the last key too.
+  EXPECT_EQ(obj.find(std::string_view("A")), obj.end());
+  EXPECT_EQ(obj.find(std::string_view("d")), obj.end());
+  ASSERT_NE(obj.find(std::string_view("c")), obj.end());
+  EXPECT_EQ(obj.find(std::string_view("c"))->second.as_int(), 3);
+}
+
+TEST(JsonObject, MiddleInsertionKeepsKeysSorted) {
+  Json j = Json::object();
+  j["d"] = 4;
+  j["b"] = 2;
+  j["c"] = 3;  // between two existing keys
+  j["a"] = 1;  // before every key
+  j["e"] = 5;  // after every key
+  j["c"] = 30;  // an existing key is overwritten in place
+  EXPECT_EQ(j.size(), 5u);
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":2,"c":30,"d":4,"e":5})");
+  std::string keys;
+  for (const auto& [k, v] : j.as_object()) keys += k;
+  EXPECT_EQ(keys, "abcde");
+}
+
+TEST(JsonObject, InitializerListDuplicateKeepsFirst) {
+  const Json j = Json::object({{"a", 1}, {"b", 5}, {"a", 2}});
+  EXPECT_EQ(j.size(), 2u);
+  EXPECT_EQ(j.at("a").as_int(), 1);
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":5})");
+  EXPECT_EQ(Json::object({{"b", 1}, {"a", 2}}).dump(), R"({"a":2,"b":1})");
+}
+
+TEST(JsonObject, SelfAliasingAssignment) {
+  Json doc = Json::parse(
+      R"({"child":{"leaf":{"x":[1,2]},"y":"s"},"other":{"z":1}})");
+  doc = doc.at("child");  // the source lives inside the destination
+  EXPECT_EQ(doc.dump(), R"({"leaf":{"x":[1,2]},"y":"s"})");
+  doc = std::move(doc["leaf"]);
+  EXPECT_EQ(doc.dump(), R"({"x":[1,2]})");
+  doc = doc.at("x").at(std::size_t{1});
+  EXPECT_EQ(doc.as_int(), 2);
+}
+
+TEST(JsonObject, CopyOfParsedDocumentDumpsSameBytes) {
+  const std::string text =
+      R"({"_id":17,"machine":{"cores":32,"name":"cori"},)"
+      R"("output":{"runtime":1.25},"params":{"mb":4,"nb":8,"p":2},)"
+      R"("task":{"m":1000,"n":500},"user":"alice"})";
+  const Json parsed = Json::parse(text);
+  const Json copy(parsed);
+  EXPECT_EQ(copy.dump(), text);
+  Json assigned = Json::object({{"stale", 1}});
+  assigned = parsed;
+  EXPECT_EQ(assigned.dump(), text);
+  EXPECT_EQ(copy, parsed);
+}
+
 TEST(JsonParse, WhitespaceTolerance) {
   const Json j = Json::parse("  \t\r\n { \"a\" : [ 1 , 2 ] } \n ");
   EXPECT_EQ(j.at("a").size(), 2u);

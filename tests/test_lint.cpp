@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -334,6 +335,36 @@ TEST(LintDataflow, R13CatchesFsyncUnderDeclaredGuard) {
 
 TEST(LintDataflow, UnlockBeforeFsyncIsClean) {
   expect_cross_clean(fixture("r13_clean_unlock_first.cpp"));
+}
+
+TEST(LintDataflow, ProjectMemberNamedSelectIsNotBlocking) {
+  expect_cross_clean(fixture("r13_clean_member_select.cpp"));
+}
+
+TEST(LintDataflow, GlobalSelectUnderLockFires) {
+  // The same call spelled ::select(...) is the POSIX one.
+  std::ifstream in(fixture("r13_clean_member_select.cpp"));
+  ASSERT_TRUE(in.is_open());
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string src = text.str();
+  const std::string call = "    return select(key);";
+  const std::size_t at = src.find(call);
+  ASSERT_NE(at, std::string::npos);
+  src.replace(at, call.size(),
+              "    return ::select(key, nullptr, nullptr, nullptr, nullptr);");
+  const std::string mutated = "lint_global_select.cpp";
+  {
+    std::ofstream out(mutated);
+    out << src;
+  }
+  const RunResult r = run(lint_cmd("--cross-file " + mutated));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(mutated + ":13: [R13] blocking call 'select'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos) << r.output;
+  std::remove(mutated.c_str());
 }
 
 TEST(LintDataflow, MovingFsyncInsideLockScopeRefires) {

@@ -154,9 +154,13 @@ bool contains_ci(const std::string& haystack, std::string_view needle) {
 
 /// Blocking primitives that block regardless of call form.
 const std::set<std::string> kAlwaysBlocking = {
-    "fsync",      "fdatasync",  "accept", "poll",       "select",
-    "epoll_wait", "sleep_for",  "sleep_until",          "nanosleep",
-    "usleep",     "flock"};
+    "fsync",       "fdatasync", "epoll_wait", "sleep_for",
+    "sleep_until", "nanosleep", "usleep",     "flock"};
+
+/// POSIX calls whose names a project reuses for its own functions (a
+/// listener's accept(), an index's select()): they block when spelled
+/// ::name(...), or when the call binds to no project function.
+const std::set<std::string> kPosixNamed = {"accept", "poll", "select"};
 
 /// Syscalls that block only in their free-function (::call) form — the
 /// member spellings (`stream.write(...)`) are in-memory operations.
@@ -177,10 +181,13 @@ bool untrusted_edge(const dataflow::Edge& e,
 }
 
 /// The name of the blocking primitive a call site invokes directly, or ""
-/// when the site is not in the catalogue.
+/// when the site is not in the catalogue. `project_callee`: the call binds
+/// to a project function it can reach unqualified (see project_calls).
 std::string direct_blocking(const ProjectIndex& index, const FunctionInfo& fn,
-                            const CallSite& c) {
+                            const CallSite& c, bool project_callee) {
   if (kAlwaysBlocking.count(c.name) != 0) return c.name;
+  if (kPosixNamed.count(c.name) != 0)
+    return c.global_call || (!c.member_call && !project_callee) ? c.name : "";
   if (!c.member_call && kFreeBlocking.count(c.name) != 0) return c.name;
   if (c.member_call && kCvWait.count(c.name) != 0 && !c.owner_root.empty() &&
       c.owner_segments.empty()) {
@@ -209,6 +216,19 @@ std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
     return index.blocking_ok_at(fn.path, c.line);
   };
 
+  // Call sites (function, call index) that bind to a project function an
+  // unqualified call can name: a free function or a member of the caller's
+  // class. There a POSIX-named call is the project's own.
+  std::set<std::pair<std::size_t, std::size_t>> project_calls;
+  for (std::size_t i = 0; i < fns.size(); ++i)
+    for (const dataflow::Edge& e : g.out_edges(i))
+      if (fns[e.to].cls.empty() || fns[e.to].cls == fns[i].cls)
+        project_calls.emplace(i, e.site);
+  const auto direct = [&](std::size_t i, std::size_t ci) {
+    return direct_blocking(index, fns[i], fns[i].calls[ci],
+                           project_calls.count({i, ci}) != 0);
+  };
+
   // Blocking closure: fact = the name of the primitive a function
   // (transitively) reaches, "" when none. Set-once, so the lattice has
   // height one and the worklist terminates. Declaration-level blocking-ok
@@ -219,9 +239,9 @@ std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
       [&](std::size_t i) {
         if (!blocks[i].empty() || fns[i].blocking_exempt) return false;
         if (!fns[i].is_definition) return false;
-        for (const CallSite& c : fns[i].calls) {
-          if (site_ok(fns[i], c)) continue;
-          const std::string p = direct_blocking(index, fns[i], c);
+        for (std::size_t ci = 0; ci < fns[i].calls.size(); ++ci) {
+          if (site_ok(fns[i], fns[i].calls[ci])) continue;
+          const std::string p = direct(i, ci);
           if (!p.empty()) {
             blocks[i] = p;
             return true;
@@ -261,7 +281,7 @@ std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
     for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
       const CallSite& c = fn.calls[ci];
       if (site_ok(fn, c)) continue;
-      std::string prim = direct_blocking(index, fn, c);
+      std::string prim = direct(i, ci);
       bool transitive = false;
       if (prim.empty()) {
         const auto it = resolved.find({i, ci});

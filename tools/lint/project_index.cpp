@@ -756,6 +756,10 @@ class IndexBuilder {
         c.scope_end = enclosing_close();
         c.in_lambda = in_lambda(j);
         c.member_call = j >= 1 && (is_p(t_[j - 1], ".") || is_p(t_[j - 1], "->"));
+        c.global_call =
+            j >= 1 && is_p(t_[j - 1], "::") &&
+            (j < 2 || is_expr_keyword(t_[j - 2].text) ||
+             (t_[j - 2].kind != TokKind::Identifier && !is_p(t_[j - 2], ">")));
         if (c.member_call) {
           std::string root;
           std::vector<std::string> segs;

@@ -125,6 +125,7 @@ struct GuardFinding {
 struct CallSite {
   std::string name;            // base (unqualified) callee name
   bool member_call = false;    // preceded by '.' or '->'
+  bool global_call = false;    // spelled ::name(...), the global namespace's
   std::string owner_root;      // first chain segment ("" for non-chains)
   std::string owner_root_type;     // from params/locals; "" if unknown
   std::vector<std::string> owner_segments;  // chain between root and callee
