@@ -56,16 +56,12 @@ struct BenchConfig {
     o.algorithm = kind;
     o.seed = seed;
     if (fast) {
-      o.tla.gp.fit_restarts = 1;
-      o.tla.gp.fit_evaluations = 60;
       o.tla.lcm.fit_restarts = 0;
       o.tla.lcm.max_samples_per_task = 40;
       o.tla.max_source_samples = 60;
       o.tla.acquisition.de_population = 16;
       o.tla.acquisition.de_generations = 15;
     } else if (!full) {
-      o.tla.gp.fit_restarts = 1;
-      o.tla.gp.fit_evaluations = 100;
       o.tla.lcm.fit_restarts = 0;
       o.tla.lcm.max_samples_per_task = 80;
       o.tla.max_source_samples = 100;

@@ -12,7 +12,7 @@
 //   $ ./bench_fig6_superlu [--only=table|figure] [--seeds=3] [--budget=10]
 #include "apps/superlu.hpp"
 #include "bench_common.hpp"
-#include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "sa/sobol.hpp"
 
 using namespace gptc;
@@ -37,18 +37,18 @@ int main(int argc, char** argv) {
     const core::TaskHistory samples =
         core::collect_random_samples(problem, si5h12, n_samples, 99);
     core::TrainingData data = samples.valid_data(problem.param_space);
-    rng::Rng cap_rng(1);
-    data = core::subsample_training_data(data, 250, cap_rng);
-
-    gp::GaussianProcess surrogate(problem.param_space.dim());
+    gp::LcmOptions gp_options;
+    gp_options.max_samples_per_task = 250;
     rng::Rng fit_rng(2);
-    surrogate.fit(data.x, data.y, fit_rng);
+    const gp::SurrogatePtr surrogate = gp::fit_single_task(
+        problem.param_space.dim(), {std::move(data.x), std::move(data.y)},
+        gp_options, fit_rng);
 
     sa::SobolOptions sa_options;
     sa_options.base_samples = config.full ? 1024 : 512;
     rng::Rng sa_rng(3);
     const sa::SobolResult result = sa::analyze_surrogate(
-        surrogate, problem.param_space, sa_rng, sa_options);
+        *surrogate, problem.param_space, sa_rng, sa_options);
     std::printf("\n== Table IV: SuperLU_DIST Sobol indices (Si5H12) ==\n%s\n",
                 result.to_table().c_str());
     std::printf("paper shape: COLPERM highest, then nprows; NSUP moderate; "

@@ -15,7 +15,7 @@
 //   $ ./bench_fig7_hypre [--only=table|figure] [--seeds=5] [--budget=20]
 #include "apps/hypre.hpp"
 #include "bench_common.hpp"
-#include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "sa/sobol.hpp"
 
 using namespace gptc;
@@ -36,20 +36,20 @@ int main(int argc, char** argv) {
     const core::TaskHistory samples =
         core::collect_random_samples(problem, task, n_samples, 111);
     core::TrainingData data = samples.valid_data(problem.param_space);
-    rng::Rng cap_rng(1);
     // ~450 GP training points is where the surrogate's Sobol ranking of
     // this 12-parameter space becomes stable (O(n^3) fit above that).
-    data = core::subsample_training_data(data, 450, cap_rng);
-
-    gp::GaussianProcess surrogate(problem.param_space.dim());
+    gp::LcmOptions gp_options;
+    gp_options.max_samples_per_task = 450;
     rng::Rng fit_rng(2);
-    surrogate.fit(data.x, data.y, fit_rng);
+    const gp::SurrogatePtr surrogate = gp::fit_single_task(
+        problem.param_space.dim(), {std::move(data.x), std::move(data.y)},
+        gp_options, fit_rng);
 
     sa::SobolOptions sa_options;
     sa_options.base_samples = config.full ? 1024 : 512;
     rng::Rng sa_rng(3);
     const sa::SobolResult result = sa::analyze_surrogate(
-        surrogate, problem.param_space, sa_rng, sa_options);
+        *surrogate, problem.param_space, sa_rng, sa_options);
     std::printf("\n== Table V: Hypre Sobol indices (nx=ny=nz=100) ==\n%s\n",
                 result.to_table().c_str());
     std::printf(

@@ -1,17 +1,17 @@
 // google-benchmark microbenchmarks of the library substrates: dense
-// kernels, GP fit/predict scaling, LCM fit, acquisition search, Sobol
+// kernels, single-task GP (one-task LCM) fit/predict scaling, LCM fit, acquisition search, Sobol
 // estimators, JSON parsing and encoding (synthetic and on the crowd_pull
 // response shape) and document-store queries.
 //
 //   $ ./bench_micro_substrates [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "core/acquisition.hpp"
 #include "db/document_store.hpp"
-#include "gp/gaussian_process.hpp"
 #include "gp/lcm.hpp"
 #include "json/json.hpp"
 #include "la/matrix.hpp"
@@ -62,10 +62,9 @@ void BM_GpFit(benchmark::State& state) {
   const la::Matrix x = la::Matrix::from_rows(
       std::vector<la::Vector>(pts.begin(), pts.end()));
   for (auto _ : state) {
-    gp::GaussianProcess model(4);
     rng::Rng fit_rng(5);
-    model.fit(x, y, fit_rng);
-    benchmark::DoNotOptimize(model.log_marginal_likelihood());
+    const gp::SurrogatePtr model = gp::fit_single_task(4, {x, y}, {}, fit_rng);
+    benchmark::DoNotOptimize(model->predict({0.3, 0.4, 0.5, 0.6}));
   }
 }
 BENCHMARK(BM_GpFit)->Arg(25)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
@@ -75,12 +74,12 @@ void BM_GpPredict(benchmark::State& state) {
   const auto pts = opt::latin_hypercube(100, 4, rng);
   la::Vector y;
   for (const auto& p : pts) y.push_back(std::sin(5.0 * p[0]) + p[1]);
-  gp::GaussianProcess model(4);
   rng::Rng fit_rng(7);
-  model.fit(la::Matrix::from_rows({pts.begin(), pts.end()}), y, fit_rng);
+  const gp::SurrogatePtr model = gp::fit_single_task(
+      4, {la::Matrix::from_rows({pts.begin(), pts.end()}), y}, {}, fit_rng);
   la::Vector q = {0.3, 0.4, 0.5, 0.6};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict(q));
+    benchmark::DoNotOptimize(model->predict(q));
   }
 }
 BENCHMARK(BM_GpPredict);
@@ -106,7 +105,8 @@ void BM_LcmFit(benchmark::State& state) {
 }
 BENCHMARK(BM_LcmFit)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
 
-// Threads-vs-speedup: GP fit with several restarts, at 0 (serial path),
+// Threads-vs-speedup: single-task GP fit with several starts, at 0 (serial
+// path),
 // 1, 2, 4 and 8 pool workers. Results are bitwise identical across the
 // sweep (see tests/test_determinism.cpp); only wall time should change.
 void BM_GpFitThreads(benchmark::State& state) {
@@ -116,14 +116,13 @@ void BM_GpFitThreads(benchmark::State& state) {
   la::Vector y;
   for (const auto& p : pts) y.push_back(std::sin(5.0 * p[0]) + p[1]);
   const la::Matrix x = la::Matrix::from_rows({pts.begin(), pts.end()});
-  gp::GpOptions opt;
+  gp::LcmOptions opt;
   opt.fit_restarts = 8;
   if (threads > 0) opt.pool = std::make_shared<parallel::ThreadPool>(threads);
   for (auto _ : state) {
-    gp::GaussianProcess model(4, opt);
     rng::Rng fit_rng(5);
-    model.fit(x, y, fit_rng);
-    benchmark::DoNotOptimize(model.log_marginal_likelihood());
+    const gp::SurrogatePtr model = gp::fit_single_task(4, {x, y}, opt, fit_rng);
+    benchmark::DoNotOptimize(model->predict({0.3, 0.4, 0.5, 0.6}));
   }
 }
 BENCHMARK(BM_GpFitThreads)
@@ -136,13 +135,13 @@ void BM_AcquisitionSearch(benchmark::State& state) {
   const auto pts = opt::latin_hypercube(60, 4, rng);
   la::Vector y;
   for (const auto& p : pts) y.push_back(std::cos(4.0 * p[0]) + p[2]);
-  gp::GaussianProcess model(4);
   rng::Rng fit_rng(11);
-  model.fit(la::Matrix::from_rows({pts.begin(), pts.end()}), y, fit_rng);
+  const gp::SurrogatePtr model = gp::fit_single_task(
+      4, {la::Matrix::from_rows({pts.begin(), pts.end()}), y}, {}, fit_rng);
   for (auto _ : state) {
     rng::Rng search_rng(12);
     benchmark::DoNotOptimize(
-        core::maximize_ei(model, 0.0, search_rng));
+        core::maximize_ei(*model, 0.0, search_rng));
   }
 }
 BENCHMARK(BM_AcquisitionSearch)->Unit(benchmark::kMillisecond);
@@ -155,14 +154,15 @@ void BM_DeSearchThreads(benchmark::State& state) {
   const auto pts = opt::latin_hypercube(60, 4, rng);
   la::Vector y;
   for (const auto& p : pts) y.push_back(std::cos(4.0 * p[0]) + p[2]);
-  gp::GaussianProcess model(4);
   rng::Rng fit_rng(11);
-  model.fit(la::Matrix::from_rows({pts.begin(), pts.end()}), y, fit_rng);
+  const gp::SurrogatePtr model = gp::fit_single_task(
+      4, {la::Matrix::from_rows({pts.begin(), pts.end()}), y}, {}, fit_rng);
   core::AcquisitionOptions opt;
   if (threads > 0) opt.pool = std::make_shared<parallel::ThreadPool>(threads);
   for (auto _ : state) {
     rng::Rng search_rng(12);
-    benchmark::DoNotOptimize(core::maximize_ei(model, 0.0, search_rng, {}, opt));
+    benchmark::DoNotOptimize(
+        core::maximize_ei(*model, 0.0, search_rng, {}, opt));
   }
 }
 BENCHMARK(BM_DeSearchThreads)

@@ -15,7 +15,6 @@ namespace {
 TlaOptions with_thread_pool(const TlaOptions& tla,
                             std::shared_ptr<parallel::ThreadPool> pool) {
   TlaOptions out = tla;
-  out.gp.pool = pool;
   out.lcm.pool = pool;
   out.acquisition.pool = std::move(pool);
   return out;

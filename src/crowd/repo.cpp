@@ -715,17 +715,15 @@ core::TrainingData SharedRepo::to_training_data(
 
 gp::SurrogatePtr SharedRepo::query_surrogate_model(
     const MetaDescription& meta, std::uint64_t seed,
-    gp::GpOptions options) const {
+    const gp::LcmOptions& options) const {
   const auto records = query_function_evaluations(meta);
   const core::TrainingData data = to_training_data(records, meta.parameter_space);
   if (data.size() < 2)
     throw std::runtime_error(
         "query_surrogate_model: fewer than 2 usable records match");
-  auto model = std::make_shared<gp::GaussianProcess>(
-      meta.parameter_space.dim(), options);
   rng::Rng rng(rng::splitmix64(seed + 0x9e3779b9ULL));
-  model->fit(data.x, data.y, rng);
-  return model;
+  return gp::fit_single_task(meta.parameter_space.dim(), {data.x, data.y},
+                             options, rng);
 }
 
 double SharedRepo::query_predict_output(const MetaDescription& meta,

@@ -30,7 +30,7 @@
 #include "crowd/meta.hpp"
 #include "crowd/variability.hpp"
 #include "db/document_store.hpp"
-#include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "rng/rng.hpp"
 #include "sa/sobol.hpp"
 #include "space/space.hpp"
@@ -218,11 +218,13 @@ class SharedRepo {
 
   // --- Analytics utilities (Sec. IV-B) --------------------------------------
 
-  /// Fits a GP surrogate to the queried records over meta.parameter_space.
-  /// Throws std::runtime_error if fewer than 2 usable records match.
-  gp::SurrogatePtr query_surrogate_model(const MetaDescription& meta,
-                                         std::uint64_t seed = 0,
-                                         gp::GpOptions options = {}) const;
+  /// Fits a single-task GP (a one-task LCM) to the queried records over
+  /// meta.parameter_space; more than options.max_samples_per_task records
+  /// are randomly subsampled. Throws std::runtime_error if fewer than 2
+  /// usable records match.
+  gp::SurrogatePtr query_surrogate_model(
+      const MetaDescription& meta, std::uint64_t seed = 0,
+      const gp::LcmOptions& options = {}) const;
 
   /// Predicted output at one configuration (QueryPredictOutput).
   double query_predict_output(const MetaDescription& meta,

@@ -124,14 +124,6 @@ Result nelder_mead(const ObjectiveFn& f, const la::Vector& start,
   return result;
 }
 
-Result multistart_nelder_mead(const ObjectiveFn& f,
-                              const std::vector<la::Vector>& starts,
-                              const NelderMeadOptions& options) {
-  return multistart(options.pool.get(), starts.size(), [&](std::size_t i) {
-    return nelder_mead(f, starts[i], options);
-  });
-}
-
 Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
                   const std::function<Result(std::size_t)>& run) {
   if (num_starts == 0) throw std::invalid_argument("multistart: no starts");

@@ -3,12 +3,13 @@
 // Two very different optimization jobs live in the tuner:
 //   1. Surrogate hyperparameter fitting — smooth, low-dimensional, expensive
 //      objective (log marginal likelihood): multistart L-BFGS on the
-//      analytic gradient for the LCM, multistart Nelder–Mead for the
-//      single-task GP.
+//      analytic gradient, for the LCM and for the single-task GP (the
+//      one-task LCM) alike.
 //   2. Acquisition maximization over the (encoded) unit cube — cheap,
 //      multimodal objective with plateaus from integer/categorical
 //      encoding: differential evolution seeded with random + incumbent
-//      points, refined by Nelder–Mead.
+//      points, refined by Nelder–Mead. That refinement in
+//      core/acquisition.cpp is Nelder–Mead's only caller.
 // Plus the space-filling designs used for initial samples and for the
 // Saltelli sensitivity design (Latin hypercube, scrambled Halton).
 #pragma once
@@ -42,24 +43,11 @@ struct NelderMeadOptions {
   double f_tolerance = 1e-9;   // stop when simplex f-spread is below this
   double x_tolerance = 1e-8;   // ... or simplex diameter is below this
   bool clamp_unit_cube = false;  // project iterates into [0,1]^d
-  /// Used by multistart_nelder_mead only: restarts run concurrently on this
-  /// pool (null = serial). The objective must then be thread-safe. Results
-  /// are bitwise identical for any pool size.
-  std::shared_ptr<parallel::ThreadPool> pool;
 };
 
 /// Nelder–Mead simplex minimization from the given start point.
 Result nelder_mead(const ObjectiveFn& f, const la::Vector& start,
                    const NelderMeadOptions& options = {});
-
-/// Multistart Nelder–Mead over [0,1]^d (or over starts supplied by the
-/// caller): runs NM from each start and returns the best result. Ties on
-/// the objective value resolve to the lowest start index, so the winner is
-/// independent of the order in which the restarts execute (and of
-/// `options.pool` size).
-Result multistart_nelder_mead(const ObjectiveFn& f,
-                              const std::vector<la::Vector>& starts,
-                              const NelderMeadOptions& options = {});
 
 /// Limited-memory BFGS from `start` with a budget of f-and-gradient
 /// evaluations, line-search trials included: a history of 6 curvature

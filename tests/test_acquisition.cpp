@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "opt/optimize.hpp"
 
 namespace gptc::core {
@@ -76,8 +76,9 @@ TEST(LowerConfidenceBound, Formula) {
 
 class AcquisitionSearchTest : public ::testing::Test {
  protected:
-  // GP trained on a clean quadratic valley with minimum near x = 0.7.
-  AcquisitionSearchTest() : model_(1) {
+  // Single-task GP trained on a clean quadratic valley with minimum near
+  // x = 0.7.
+  AcquisitionSearchTest() {
     std::vector<la::Vector> xs;
     la::Vector ys;
     for (int i = 0; i <= 12; ++i) {
@@ -86,15 +87,15 @@ class AcquisitionSearchTest : public ::testing::Test {
       ys.push_back((x - 0.7) * (x - 0.7));
     }
     rng::Rng rng(2);
-    model_.fit(la::Matrix::from_rows(xs), ys, rng);
+    model_ = gp::fit_single_task(1, {la::Matrix::from_rows(xs), ys}, {}, rng);
   }
 
-  gp::GaussianProcess model_;
+  gp::SurrogatePtr model_;
 };
 
 TEST_F(AcquisitionSearchTest, MinimizeMeanFindsTheValley) {
   rng::Rng rng(3);
-  const la::Vector x = minimize_mean(model_, rng);
+  const la::Vector x = minimize_mean(*model_, rng);
   ASSERT_EQ(x.size(), 1u);
   EXPECT_NEAR(x[0], 0.7, 0.05);
 }
@@ -103,7 +104,7 @@ TEST_F(AcquisitionSearchTest, MaximizeEiStaysInUnitCube) {
   rng::Rng rng(4);
   for (std::uint64_t i = 0; i < 5; ++i) {
     rng::Rng sub = rng.split(i);
-    const la::Vector x = maximize_ei(model_, 0.2, sub);
+    const la::Vector x = maximize_ei(*model_, 0.2, sub);
     EXPECT_GE(x[0], 0.0);
     EXPECT_LE(x[0], 1.0);
   }
@@ -112,7 +113,7 @@ TEST_F(AcquisitionSearchTest, MaximizeEiStaysInUnitCube) {
 TEST_F(AcquisitionSearchTest, MaximizeEiPrefersPromisingRegion) {
   // With best = 0.05 (already good), EI concentrates near the valley.
   rng::Rng rng(5);
-  const la::Vector x = maximize_ei(model_, 0.05, rng);
+  const la::Vector x = maximize_ei(*model_, 0.05, rng);
   EXPECT_NEAR(x[0], 0.7, 0.2);
 }
 
@@ -124,14 +125,14 @@ TEST_F(AcquisitionSearchTest, SeedsAreRespected) {
   opts.de_generations = 0;
   opts.extra_random_seeds = 0;
   rng::Rng rng(6);
-  const la::Vector x = maximize_ei(model_, 0.1, rng, {{0.7}}, opts);
+  const la::Vector x = maximize_ei(*model_, 0.1, rng, {{0.7}}, opts);
   EXPECT_TRUE(std::isfinite(x[0]));
 }
 
 TEST_F(AcquisitionSearchTest, DeterministicPerRngState) {
   rng::Rng r1(7), r2(7);
-  const la::Vector a = maximize_ei(model_, 0.1, r1);
-  const la::Vector b = maximize_ei(model_, 0.1, r2);
+  const la::Vector a = maximize_ei(*model_, 0.1, r1);
+  const la::Vector b = maximize_ei(*model_, 0.1, r2);
   EXPECT_DOUBLE_EQ(a[0], b[0]);
 }
 

@@ -98,7 +98,7 @@ class ResidualStackTest : public ::testing::Test {
     return y;
   }
 
-  gp::GpOptions options_;
+  gp::LcmOptions options_;
   rng::Rng rng_{31};
 };
 

@@ -11,7 +11,6 @@
 
 #include "apps/synthetic.hpp"
 #include "core/tuner.hpp"
-#include "gp/gaussian_process.hpp"
 #include "gp/lcm.hpp"
 #include "opt/optimize.hpp"
 #include "parallel/thread_pool.hpp"
@@ -42,54 +41,6 @@ double rastrigin_like(const la::Vector& x) {
   return s;
 }
 
-TEST(DeterminismTest, MultistartNelderMeadIdenticalAcrossPoolSizes) {
-  rng::Rng rng(42);
-  std::vector<la::Vector> starts;
-  for (int i = 0; i < 10; ++i) {
-    la::Vector s(3);
-    for (double& v : s) v = rng.uniform();
-    starts.push_back(s);
-  }
-
-  opt::Result reference;
-  bool have_reference = false;
-  for (std::size_t n : kPoolSizes) {
-    opt::NelderMeadOptions o;
-    o.clamp_unit_cube = true;
-    o.pool = make_pool(n);
-    const opt::Result r = opt::multistart_nelder_mead(rastrigin_like, starts, o);
-    if (!have_reference) {
-      reference = r;
-      have_reference = true;
-      continue;
-    }
-    EXPECT_EQ(r.value, reference.value) << "pool size " << n;
-    EXPECT_EQ(r.evaluations, reference.evaluations) << "pool size " << n;
-    ASSERT_EQ(r.x.size(), reference.x.size());
-    for (std::size_t i = 0; i < r.x.size(); ++i)
-      EXPECT_EQ(r.x[i], reference.x[i]) << "pool size " << n << " dim " << i;
-  }
-}
-
-TEST(DeterminismTest, MultistartTieBreaksToLowestStartIndex) {
-  // A flat objective makes every restart tie: the winner must be start 0,
-  // regardless of pool size or completion order.
-  const auto flat = [](const la::Vector&) { return 3.25; };
-  std::vector<la::Vector> starts;
-  for (int i = 0; i < 6; ++i) starts.push_back(la::Vector(2, 0.1 * (i + 1)));
-  for (std::size_t n : kPoolSizes) {
-    opt::NelderMeadOptions o;
-    o.max_evaluations = 20;
-    o.pool = make_pool(n);
-    const opt::Result r = opt::multistart_nelder_mead(flat, starts, o);
-    EXPECT_EQ(r.value, 3.25);
-    // On a flat function NM never moves, so the reported point is the
-    // winning start itself.
-    for (std::size_t i = 0; i < r.x.size(); ++i)
-      EXPECT_EQ(r.x[i], starts[0][i]) << "pool size " << n;
-  }
-}
-
 TEST(DeterminismTest, DifferentialEvolutionIdenticalAcrossPoolSizes) {
   opt::Result reference;
   bool have_reference = false;
@@ -112,7 +63,8 @@ TEST(DeterminismTest, DifferentialEvolutionIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(DeterminismTest, GaussianProcessFitIdenticalAcrossPoolSizes) {
+TEST(DeterminismTest, SingleTaskGpFitIdenticalAcrossPoolSizes) {
+  // The single-task GP is the one-task LCM; its fit starts run on the pool.
   // Training data from a fixed stream.
   rng::Rng data_rng(99);
   const std::size_t kSamples = 24, kDim = 2;
@@ -127,31 +79,26 @@ TEST(DeterminismTest, GaussianProcessFitIdenticalAcrossPoolSizes) {
     y[i] = rastrigin_like(p) + 0.01 * data_rng.normal();
   }
 
-  la::Vector ref_hyper;
-  gp::Prediction ref_pred;
-  bool have_reference = false;
+  std::vector<double> reference;
   la::Vector query(kDim, 0.4);
   for (std::size_t n : kPoolSizes) {
-    gp::GpOptions o;
-    o.fit_restarts = 4;  // enough restarts that parallel order could matter
+    gp::LcmOptions o;
+    o.fit_restarts = 4;  // enough starts that parallel order could matter
     o.fit_evaluations = 80;
     o.pool = make_pool(n);
-    gp::GaussianProcess gp(kDim, o);
+    gp::LcmModel model(kDim, 1, o);
     rng::Rng fit_rng(5);
-    gp.fit(x, y, fit_rng);
-    const la::Vector h = gp.log_hyper();
-    const gp::Prediction pred = gp.predict(query);
-    if (!have_reference) {
-      ref_hyper = h;
-      ref_pred = pred;
-      have_reference = true;
+    model.fit({gp::TaskData{x, y}}, fit_rng);
+    const gp::Prediction pred = model.predict(0, query);
+    const std::vector<double> got = {model.task_covariance(0, 0), pred.mean,
+                                     pred.variance};
+    if (reference.empty()) {
+      reference = got;
       continue;
     }
-    ASSERT_EQ(h.size(), ref_hyper.size());
-    for (std::size_t i = 0; i < h.size(); ++i)
-      EXPECT_EQ(h[i], ref_hyper[i]) << "pool size " << n << " hyper " << i;
-    EXPECT_EQ(pred.mean, ref_pred.mean) << "pool size " << n;
-    EXPECT_EQ(pred.variance, ref_pred.variance) << "pool size " << n;
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], reference[i]) << "pool size " << n << " value " << i;
   }
 }
 
@@ -223,8 +170,6 @@ TEST(DeterminismTest, EnsembleTunerRunIdenticalAcrossThreadCounts) {
     o.num_threads = static_cast<int>(n);
     // Shrunk fit budgets keep the 4-way sweep fast without changing what is
     // being compared.
-    o.tla.gp.fit_restarts = 2;
-    o.tla.gp.fit_evaluations = 50;
     o.tla.lcm.fit_restarts = 1;
     o.tla.lcm.fit_evaluations = 60;
     o.tla.lcm.max_samples_per_task = 30;

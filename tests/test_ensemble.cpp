@@ -2,6 +2,7 @@
 // ablations): pool delegation, selection statistics, exploration decay.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "apps/synthetic.hpp"
@@ -23,8 +24,6 @@ class EnsembleTest : public ::testing::Test {
     o.budget = budget;
     o.algorithm = kind;
     o.seed = seed;
-    o.tla.gp.fit_restarts = 1;
-    o.tla.gp.fit_evaluations = 50;
     o.tla.lcm.fit_restarts = 0;
     o.tla.lcm.max_samples_per_task = 30;
     o.tla.max_source_samples = 40;

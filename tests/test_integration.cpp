@@ -4,6 +4,7 @@
 // the TLA tuner -> sync new evaluations back.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "apps/pdgeqrf.hpp"
@@ -109,7 +110,6 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
   options.budget = 6;
   options.algorithm = core::TlaKind::EnsembleProposed;
   options.seed = 5;
-  options.tla.gp.fit_evaluations = 60;
   options.tla.lcm.max_samples_per_task = 40;
   options.tla.max_source_samples = 40;
   const core::TuningResult result =

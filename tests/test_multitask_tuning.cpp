@@ -19,8 +19,6 @@ class MultitaskTuningTest : public ::testing::Test {
     TunerOptions o;
     o.budget = budget;
     o.seed = seed;
-    o.tla.gp.fit_restarts = 1;
-    o.tla.gp.fit_evaluations = 50;
     o.tla.lcm.fit_restarts = 0;
     o.tla.lcm.max_samples_per_task = 30;
     o.tla.acquisition.de_population = 12;

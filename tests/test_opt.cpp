@@ -75,18 +75,6 @@ TEST(NelderMead, EmptyStartThrows) {
   EXPECT_THROW(nelder_mead(sphere, {}), std::invalid_argument);
 }
 
-TEST(MultistartNelderMead, PicksBestBasin) {
-  // Two basins; global at 0.8 (depth -2), local at 0.2 (depth -1).
-  const auto f = [](const la::Vector& x) {
-    const double a = -std::exp(-50.0 * (x[0] - 0.2) * (x[0] - 0.2));
-    const double b = -2.0 * std::exp(-50.0 * (x[0] - 0.8) * (x[0] - 0.8));
-    return a + b;
-  };
-  const Result r = multistart_nelder_mead(f, {{0.15}, {0.85}});
-  EXPECT_NEAR(r.x[0], 0.8, 0.01);
-  EXPECT_THROW(multistart_nelder_mead(f, {}), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // L-BFGS
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "gp/gaussian_process.hpp"
+#include "gp/lcm.hpp"
 #include "opt/optimize.hpp"
 #include "sa/sobol.hpp"
 
@@ -155,14 +155,14 @@ TEST(Sobol, SurrogateAnalysisFindsTheInfluentialParameter) {
   std::vector<la::Vector> xs(design.begin(), design.end());
   la::Vector ys;
   for (const auto& u : xs) ys.push_back(std::cos(5.0 * u[0]) + 0.02 * u[1]);
-  gp::GaussianProcess model(2);
   rng::Rng fit_rng(10);
-  model.fit(la::Matrix::from_rows(xs), ys, fit_rng);
+  const gp::SurrogatePtr model =
+      gp::fit_single_task(2, {la::Matrix::from_rows(xs), ys}, {}, fit_rng);
 
   SobolOptions opt;
   opt.base_samples = 512;
   rng::Rng sa_rng(11);
-  const SobolResult r = analyze_surrogate(model, sp, sa_rng, opt);
+  const SobolResult r = analyze_surrogate(*model, sp, sa_rng, opt);
   EXPECT_EQ(r.names[0], "p0");
   EXPECT_GT(r.st[0], 0.5);
   EXPECT_LT(r.st[1], 0.2);
