@@ -1,12 +1,7 @@
 #include "db/engine/engine.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -104,34 +99,7 @@ void write_manifest(const std::filesystem::path& dir, std::size_t shards) {
   Json j = Json::object();
   j["format"] = kFormat;
   j["shards"] = static_cast<std::int64_t>(shards);
-  const std::filesystem::path path = dir / kManifestName;
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  const std::string data = j.dump() + "\n";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    throw std::runtime_error("engine: cannot write " + tmp.string() + ": " +
-                             std::strerror(errno));
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("engine: write failed for " + tmp.string() +
-                               ": " + std::strerror(err));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("engine: fsync failed for " + tmp.string() +
-                             ": " + std::strerror(err));
-  }
-  ::close(fd);
-  std::filesystem::rename(tmp, path);
-  sync_parent_dir(path);
+  replace_file(dir / kManifestName, j.dump() + "\n", "engine");
 }
 
 }  // namespace

@@ -1,10 +1,5 @@
 #include "db/engine/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -64,34 +59,11 @@ void write_snapshot(const std::filesystem::path& path,
   const std::string payload = j.dump();
   const std::string content = hex32(crc32(payload)) + " " + payload + "\n";
 
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-      throw std::runtime_error("snapshot: cannot open " + tmp.string() +
-                               ": " + std::strerror(errno));
-    std::size_t off = 0;
-    while (off < content.size()) {
-      const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw std::runtime_error("snapshot: write failed for " + tmp.string() +
-                                 ": " + std::strerror(errno));
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ::fsync(fd);
-    ::close(fd);
-  }
-
-  if (fault && fault->fire(FaultPoint::SnapshotBeforeRename))
-    throw CrashInjected("injected crash before snapshot rename: " +
-                        path.string());
-
-  std::filesystem::rename(tmp, path);
-  sync_parent_dir(path);
+  replace_file(path, content, "snapshot", [&] {
+    if (fault && fault->fire(FaultPoint::SnapshotBeforeRename))
+      throw CrashInjected("injected crash before snapshot rename: " +
+                          path.string());
+  });
 
   if (fault && fault->fire(FaultPoint::SnapshotAfterRename))
     throw CrashInjected("injected crash after snapshot rename: " +

@@ -625,6 +625,36 @@ TEST(DurableStore, CorruptSnapshotRefusesToOpen) {
                std::runtime_error);
 }
 
+TEST(DurableStore, FailedSnapshotWriteThrowsAndKeepsEveryRecord) {
+  // Each shard's <stem>.snapshot.tmp is a symlink to a device the snapshot
+  // write cannot finish on: /dev/full fails the write (ENOSPC), /dev/null
+  // takes the bytes but fails the fsync (EINVAL). The checkpoint must throw
+  // before the rename, so no snapshot appears and the WAL it would have
+  // truncated keeps every record.
+  for (const char* device : {"/dev/full", "/dev/null"}) {
+    ASSERT_TRUE(fs::exists(device)) << device;
+    TempDir dir("gptc_engine_snapfail");
+    {
+      auto store = DocumentStore::open_durable(dir.path(), test_options());
+      auto& c = store.collection("samples");
+      for (int i = 0; i < 8; ++i)
+        c.insert(doc(R"({"k":)" + std::to_string(i) + "}"));
+      const std::size_t shards = store.storage_engine()->shard_count();
+      for (std::size_t k = 0; k < shards; ++k)
+        fs::create_symlink(
+            device, dir.path() / (engine::StorageEngine::shard_stem(
+                                      "samples", k, shards) +
+                                  ".snapshot.tmp"));
+      EXPECT_THROW(store.checkpoint_all(), std::runtime_error) << device;
+      EXPECT_FALSE(any_snapshot(dir.path(), "samples")) << device;
+    }
+    auto store = DocumentStore::open_durable(dir.path(), test_options());
+    EXPECT_EQ(store.collection("samples").size(), 8u) << device;
+    for (const auto& e : fs::directory_iterator(dir.path()))
+      EXPECT_NE(e.path().extension(), ".tmp") << e.path();  // swept
+  }
+}
+
 TEST(DurableStore, MidLogWalCorruptionRefusesToOpen) {
   TempDir dir("gptc_engine_walcorrupt");
   {
