@@ -341,6 +341,12 @@ TEST(LintDataflow, ProjectMemberNamedSelectIsNotBlocking) {
   expect_cross_clean(fixture("r13_clean_member_select.cpp"));
 }
 
+TEST(LintDataflow, StdQualifiedCallDoesNotBindToProjectFunction) {
+  // std::find under Catalog::mu_ is the standard algorithm: no call edge to
+  // the blocking Catalog::find.
+  expect_cross_clean(fixture("r13_clean_std_find.cpp"));
+}
+
 TEST(LintDataflow, GlobalSelectUnderLockFires) {
   // The same call spelled ::select(...) is the POSIX one.
   std::ifstream in(fixture("r13_clean_member_select.cpp"));

@@ -187,7 +187,8 @@ std::string direct_blocking(const ProjectIndex& index, const FunctionInfo& fn,
                             const CallSite& c, bool project_callee) {
   if (kAlwaysBlocking.count(c.name) != 0) return c.name;
   if (kPosixNamed.count(c.name) != 0)
-    return c.global_call || (!c.member_call && !project_callee) ? c.name : "";
+    return c.qualifier == "::" || (!c.member_call && !project_callee) ? c.name
+                                                                       : "";
   if (!c.member_call && kFreeBlocking.count(c.name) != 0) return c.name;
   if (c.member_call && kCvWait.count(c.name) != 0 && !c.owner_root.empty() &&
       c.owner_segments.empty()) {

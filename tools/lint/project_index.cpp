@@ -756,10 +756,17 @@ class IndexBuilder {
         c.scope_end = enclosing_close();
         c.in_lambda = in_lambda(j);
         c.member_call = j >= 1 && (is_p(t_[j - 1], ".") || is_p(t_[j - 1], "->"));
-        c.global_call =
-            j >= 1 && is_p(t_[j - 1], "::") &&
+        for (std::size_t k = j; k >= 2 && is_p(t_[k - 1], "::") &&
+                                t_[k - 2].kind == TokKind::Identifier &&
+                                !is_expr_keyword(t_[k - 2].text);
+             k -= 2)
+          c.qualifier = c.qualifier.empty()
+                            ? t_[k - 2].text
+                            : t_[k - 2].text + "::" + c.qualifier;
+        if (c.qualifier.empty() && j >= 1 && is_p(t_[j - 1], "::") &&
             (j < 2 || is_expr_keyword(t_[j - 2].text) ||
-             (t_[j - 2].kind != TokKind::Identifier && !is_p(t_[j - 2], ">")));
+             (t_[j - 2].kind != TokKind::Identifier && !is_p(t_[j - 2], ">"))))
+          c.qualifier = "::";
         if (c.member_call) {
           std::string root;
           std::vector<std::string> segs;
@@ -1129,6 +1136,8 @@ void ProjectIndex::finalize() {
     if (weak_out != nullptr) *weak_out = false;
     const auto it = by_base_.find(c.name);
     if (it == by_base_.end()) return out;
+    // `std::find(...)` is the standard library's, never a project function.
+    if (c.qualifier == "std" || c.qualifier.rfind("std::", 0) == 0) return out;
     std::string type;
     bool resolved = false;
     if (c.member_call) {
@@ -1166,6 +1175,8 @@ void ProjectIndex::finalize() {
     if (weak_out != nullptr) *weak_out = c.member_call && !resolved;
     for (std::size_t i : it->second) {
       if (!functions_[i].is_definition) continue;
+      // `::name(...)` binds to free functions only.
+      if (c.qualifier == "::" && !functions_[i].cls.empty()) continue;
       if (c.member_call && resolved) {
         if (type == "!" || functions_[i].cls != type) continue;
       }

@@ -125,7 +125,11 @@ struct GuardFinding {
 struct CallSite {
   std::string name;            // base (unqualified) callee name
   bool member_call = false;    // preceded by '.' or '->'
-  bool global_call = false;    // spelled ::name(...), the global namespace's
+  /// The qualifier spelled before the name: "" (unqualified), "::" (the
+  /// global namespace, `::select(...)`), or the joined segments ("std",
+  /// "std::chrono", "Collection"). A templated segment (`Foo<T>::bar`)
+  /// ends the walk, so such a call reads as unqualified.
+  std::string qualifier;
   std::string owner_root;      // first chain segment ("" for non-chains)
   std::string owner_root_type;     // from params/locals; "" if unknown
   std::vector<std::string> owner_segments;  // chain between root and callee
