@@ -28,7 +28,10 @@
 // Lock order: the committer's mutex is a leaf taken after any collection
 // writer lock (log_op -> notify_logged, checkpoint -> mark_durable) and is
 // never held across a WalWriter call — the commit thread drops it around
-// fsync so appenders are never blocked on disk latency.
+// the fsync, so notify_logged and wait_durable never wait on the disk.
+// Appenders to the WAL being synced still can: WalWriter::sync holds that
+// writer's own mutex across fdatasync, so an append to the same shard
+// waits for the sync in progress.
 #pragma once
 
 #include <condition_variable>
