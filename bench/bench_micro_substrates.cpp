@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the library substrates: dense
-// kernels, single-task GP (one-task LCM) fit/predict scaling, LCM fit, acquisition search, Sobol
+// kernels, single-task GP (one-task LCM) fit/predict scaling, LCM fit and
+// one LCM likelihood evaluation, acquisition search, Sobol
 // estimators, JSON parsing and encoding (synthetic and on the crowd_pull
 // response shape) and document-store queries.
 //
@@ -41,7 +42,9 @@ void BM_Cholesky(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Cholesky)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Complexity();
+BENCHMARK(BM_Cholesky)
+    ->Arg(32)->Arg(64)->Arg(90)->Arg(128)->Arg(256)
+    ->Complexity();
 
 void BM_MatMul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -104,6 +107,37 @@ void BM_LcmFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LcmFit)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
+
+// One LCM likelihood evaluation with its analytic gradient, the unit of
+// every L-BFGS step, on the tuning_session's shape: d = 4, T = 3 tasks
+// holding n stacked rows (n - n/3 - n/5, n/3, n/5), Q latents.
+void BM_LcmNll(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  gp::LcmOptions opt;
+  opt.num_latent = static_cast<std::size_t>(state.range(1));
+  opt.fit_restarts = 0;
+  opt.fit_evaluations = 1;  // the fit only loads the data
+  const std::size_t counts[3] = {n - n / 3 - n / 5, n / 3, n / 5};
+  rng::Rng rng(15);
+  std::vector<gp::TaskData> tasks;
+  for (std::size_t t = 0; t < 3; ++t) {
+    const auto pts = opt::latin_hypercube(counts[t], 4, rng);
+    la::Vector y;
+    for (const auto& p : pts)
+      y.push_back(std::sin(4.0 * p[0] + 0.3 * static_cast<double>(t)) + p[1]);
+    tasks.push_back({la::Matrix::from_rows({pts.begin(), pts.end()}), y});
+  }
+  gp::LcmModel model(4, 3, opt);
+  rng::Rng fit_rng(16);
+  model.fit(tasks, fit_rng);
+  la::Vector theta = model.hyperparameters(), grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.neg_log_likelihood(theta, grad));
+  }
+}
+BENCHMARK(BM_LcmNll)
+    ->Args({40, 1})->Args({90, 1})->Args({130, 1})->Args({90, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 // Threads-vs-speedup: single-task GP fit with several starts, at 0 (serial
 // path),

@@ -77,37 +77,62 @@ LcmModel::Unpacked LcmModel::unpack(const la::Vector& theta) const {
 
 namespace {
 
-/// Unit-variance Matern-5/2 latent kernel k(xi, xj) under lengthscales l,
+/// Unit-variance Matern-5/2 latent kernel at squared scaled distance r2,
 /// and the factor g with dk/dlog l_m = g * ((xi_m - xj_m) / l_m)^2.
 struct Latent {
   double k, g;
 };
 
-inline Latent latent_kernel(std::size_t dim, const double* l, const double* xi,
-                            const double* xj) {
-  double r2 = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double d = (xi[i] - xj[i]) / l[i];
-    r2 += d * d;
-  }
+inline Latent matern(double r2) {
   const double r = std::sqrt(r2);
   const double a = std::sqrt(5.0) * r;
   const double e = std::exp(-a);
   return {(1.0 + a + 5.0 * r2 / 3.0) * e, 5.0 / 3.0 * (1.0 + a) * e};
 }
 
+/// r2[j] = sum_m ((x_m - xt(m, j)) / l_m)^2 for the first `count` columns
+/// of xt (the stacked rows, transposed): one j-contiguous pass per
+/// dimension, two columns per step, so every r2[j] adds its terms in m
+/// order from 0.0, as a one-pair loop would. The division stays a
+/// division: a reciprocal multiply would change the bits.
+inline void scaled_r2(std::size_t dim, const double* l, const double* x,
+                      const la::Matrix& xt, std::size_t count, double* r2) {
+  std::fill(r2, r2 + count, 0.0);
+  for (std::size_t m = 0; m < dim; ++m) {
+    const double xm = x[m], lm = l[m];
+    const double* col = xt.row(m).data();
+    std::size_t j = 0;
+    for (; j + 2 <= count; j += 2) {
+      const double d0 = (xm - col[j]) / lm, d1 = (xm - col[j + 1]) / lm;
+      r2[j] += d0 * d0;
+      r2[j + 1] += d1 * d1;
+    }
+    if (j < count) {
+      const double d = (xm - col[j]) / lm;
+      r2[j] += d * d;
+    }
+  }
+}
+
 }  // namespace
 
-double LcmModel::cov_entry(const Unpacked& u, std::size_t task_i,
-                           std::span<const double> xi, std::size_t task_j,
-                           std::span<const double> xj) const {
-  double v = 0.0;
-  for (std::size_t q = 0; q < options_.num_latent; ++q)
-    v += u.coreg[(q * num_tasks_ + task_i) * num_tasks_ + task_j] *
-         latent_kernel(dim_, u.lengthscale.data() + q * dim_, xi.data(),
-                       xj.data())
-             .k;
-  return v;
+void LcmModel::cov_row(const Stacked& data, const Unpacked& u,
+                       std::size_t task, const double* x, std::size_t count,
+                       double* out, double* r2, double* k, double* g) const {
+  const std::size_t nq = options_.num_latent;
+  std::fill(out, out + count, 0.0);
+  for (std::size_t q = 0; q < nq; ++q) {
+    scaled_r2(dim_, u.lengthscale.data() + q * dim_, x, data.xt, count, r2);
+    const double* b = u.coreg.data() + (q * num_tasks_ + task) * num_tasks_;
+    for (std::size_t j = 0; j < count; ++j) {
+      const Latent lk = matern(r2[j]);
+      if (k) {
+        k[j * nq + q] = lk.k;
+        g[j * nq + q] = lk.g;
+      }
+      out[j] += b[data.task_of[j]] * lk.k;
+    }
+  }
 }
 
 /// Scratch for nll_and_gradient, sized once per fit start and reused by
@@ -118,6 +143,8 @@ struct LcmModel::Workspace {
         g(k.size()),
         linv(n, n),
         w(n, n),
+        row(n),
+        coef(n),
         task_sum(nq * t * t),
         length_sum(nq * dim),
         noise_sum(t) {}
@@ -125,6 +152,7 @@ struct LcmModel::Workspace {
   la::Vector k, g;  // [p * Q + q]: latent q at pair p (i >= j, row by row)
   la::Matrix linv;  // L^-1, lower triangle
   la::Matrix w;     // alpha alpha^T - K^-1, lower triangle
+  la::Vector row, coef;  // per-row scratch of the assembly and gradient
   // Gradient accumulators: per latent and task pair, sum of W_ij k_q; per
   // latent and dimension, sum of W_ij B_q g_q (x_i - x_j)^2; per task,
   // sum of W_ii.
@@ -188,6 +216,7 @@ LcmModel::Stacked LcmModel::stack(const std::vector<TaskData>& tasks,
     data.n_per_task[t] = keep.size();
   }
   data.x = la::Matrix::from_rows(rows);
+  data.xt = data.x.transposed();
   data.y_std = la::Vector(ys.begin(), ys.end());
   return data;
 }
@@ -197,26 +226,15 @@ la::Matrix LcmModel::stacked_covariance(const Stacked& data,
                                         Workspace* ws) const {
   const std::size_t n = data.x.rows(), nq = options_.num_latent;
   la::Matrix km(n, n);
-  std::size_t p = 0;
+  la::Vector local;
+  if (!ws) local.resize(n);
+  double* r2 = ws ? ws->row.data() : local.data();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t ti = data.task_of[i];
-    const double* xi = data.x.row(i).data();
-    for (std::size_t j = 0; j <= i; ++j, ++p) {
-      const std::size_t tj = data.task_of[j];
-      double v = 0.0;
-      for (std::size_t q = 0; q < nq; ++q) {
-        const Latent lk = latent_kernel(
-            dim_, u.lengthscale.data() + q * dim_, xi, data.x.row(j).data());
-        if (ws) {
-          ws->k[p * nq + q] = lk.k;
-          ws->g[p * nq + q] = lk.g;
-        }
-        v += u.coreg[(q * num_tasks_ + ti) * num_tasks_ + tj] * lk.k;
-      }
-      if (i == j) v += u.noise[ti];
-      km(i, j) = v;
-      km(j, i) = v;
-    }
+    const std::size_t p = i * (i + 1) / 2 * nq;  // pair (i, 0)
+    double* ki = km.row(i).data();
+    cov_row(data, u, data.task_of[i], data.x.row(i).data(), i + 1, ki, r2,
+            ws ? ws->k.data() + p : nullptr, ws ? ws->g.data() + p : nullptr);
+    ki[i] += u.noise[data.task_of[i]];
   }
   return km;
 }
@@ -268,58 +286,143 @@ double LcmModel::nll_and_gradient(const Stacked& data, const la::Vector& theta,
       0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 
   // L^-1 by row-oriented forward substitution:
-  // row i = (e_i - sum_{k<i} L_ik row k) / L_ii.
+  // row i = (e_i - sum_{k<i} L_ik row k) / L_ii, four k per pass over the
+  // row: entries c <= k take the terms k..k+3 in order (two entries per
+  // step), and entries k+1..k+3 of the pass's own triangle take theirs, so
+  // each entry subtracts in k order.
   const la::Matrix& l = chol->lower();
   for (std::size_t i = 0; i < n; ++i) {
     double* ri = ws.linv.row(i).data();
+    const double* li = l.row(i).data();
     std::fill(ri, ri + i + 1, 0.0);
     ri[i] = 1.0;
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = l(i, k);
-      const double* rk = ws.linv.row(k).data();
-      for (std::size_t c = 0; c <= k; ++c) ri[c] -= lik * rk[c];
+    std::size_t k = 0;
+    for (; k + 4 <= i; k += 4) {
+      const double a0 = li[k], a1 = li[k + 1], a2 = li[k + 2], a3 = li[k + 3];
+      const double* r0 = ws.linv.row(k).data();
+      const double* r1 = ws.linv.row(k + 1).data();
+      const double* r2 = ws.linv.row(k + 2).data();
+      const double* r3 = ws.linv.row(k + 3).data();
+      std::size_t c = 0;
+      for (; c + 2 <= k + 1; c += 2) {
+        const double s0 = ri[c], s1 = ri[c + 1];
+        const double b0 = r0[c], b1 = r0[c + 1], d0 = r1[c], d1 = r1[c + 1];
+        const double e0 = r2[c], e1 = r2[c + 1], f0 = r3[c], f1 = r3[c + 1];
+        ri[c] = s0 - a0 * b0 - a1 * d0 - a2 * e0 - a3 * f0;
+        ri[c + 1] = s1 - a0 * b1 - a1 * d1 - a2 * e1 - a3 * f1;
+      }
+      if (c <= k)
+        ri[c] = ri[c] - a0 * r0[c] - a1 * r1[c] - a2 * r2[c] - a3 * r3[c];
+      ri[k + 1] =
+          ri[k + 1] - a1 * r1[k + 1] - a2 * r2[k + 1] - a3 * r3[k + 1];
+      ri[k + 2] = ri[k + 2] - a2 * r2[k + 2] - a3 * r3[k + 2];
+      ri[k + 3] -= a3 * r3[k + 3];
     }
-    const double lii = l(i, i);
+    for (; k < i; ++k) {
+      const double* rk = ws.linv.row(k).data();
+      for (std::size_t c = 0; c <= k; ++c) ri[c] -= li[k] * rk[c];
+    }
+    const double lii = li[i];
     for (std::size_t c = 0; c <= i; ++c) ri[c] /= lii;
   }
   // W = alpha alpha^T - K^-1 with K^-1 = sum_k r_k r_k^T over the rows r_k
-  // of L^-1, added in k order (lower triangle only).
+  // of L^-1 (lower triangle only): entry (i, j) starts at alpha_i alpha_j
+  // and subtracts r_k[i] r_k[j] for k = i..n-1 ascending, four entries of a
+  // row at a time sharing each r_k[i].
   for (std::size_t i = 0; i < n; ++i) {
     double* wi = ws.w.row(i).data();
-    for (std::size_t j = 0; j <= i; ++j) wi[j] = alpha[i] * alpha[j];
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const double* rk = ws.linv.row(k).data();
-    for (std::size_t i = 0; i <= k; ++i) {
-      const double rki = rk[i];
-      double* wi = ws.w.row(i).data();
-      for (std::size_t j = 0; j <= i; ++j) wi[j] -= rki * rk[j];
+    const double ai = alpha[i];
+    std::size_t j = 0;
+    for (; j + 4 <= i + 1; j += 4) {
+      double s0 = ai * alpha[j], s1 = ai * alpha[j + 1],
+             s2 = ai * alpha[j + 2], s3 = ai * alpha[j + 3];
+      for (std::size_t k = i; k < n; ++k) {
+        const double* rk = ws.linv.row(k).data();
+        const double rki = rk[i];
+        s0 -= rki * rk[j];
+        s1 -= rki * rk[j + 1];
+        s2 -= rki * rk[j + 2];
+        s3 -= rki * rk[j + 3];
+      }
+      wi[j] = s0;
+      wi[j + 1] = s1;
+      wi[j + 2] = s2;
+      wi[j + 3] = s3;
+    }
+    for (; j <= i; ++j) {
+      double s = ai * alpha[j];
+      for (std::size_t k = i; k < n; ++k) {
+        const double* rk = ws.linv.row(k).data();
+        s -= rk[i] * rk[j];
+      }
+      wi[j] = s;
     }
   }
 
   // dNLL/dtheta_p = -1/2 sum_ij W_ij dK_ij/dtheta_p, summed over the pairs
-  // i >= j (off-diagonal pairs count twice).
+  // i >= j (off-diagonal pairs count twice). Every accumulator takes its
+  // terms in pair order, row by row: per latent, a task-pair sum takes a
+  // run of same-task columns in one register, and the lengthscale sums go
+  // four dimensions per pass over the row.
   std::fill(ws.task_sum.begin(), ws.task_sum.end(), 0.0);
   std::fill(ws.length_sum.begin(), ws.length_sum.end(), 0.0);
   std::fill(ws.noise_sum.begin(), ws.noise_sum.end(), 0.0);
-  std::size_t p = 0;
+  double* wrow = ws.row.data();
+  double* coef = ws.coef.data();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t ti = data.task_of[i];
     const double* xi = data.x.row(i).data();
-    for (std::size_t j = 0; j <= i; ++j, ++p) {
-      const std::size_t tj = data.task_of[j];
-      const double wij = (i == j ? 1.0 : 2.0) * ws.w(i, j);
-      if (i == j) ws.noise_sum[ti] += wij;
-      const double* xj = data.x.row(j).data();
-      for (std::size_t q = 0; q < nq; ++q) {
+    const double* wi = ws.w.row(i).data();
+    for (std::size_t j = 0; j < i; ++j) wrow[j] = 2.0 * wi[j];
+    wrow[i] = wi[i];
+    ws.noise_sum[ti] += wrow[i];
+    const std::size_t p0 = i * (i + 1) / 2;  // pair (i, 0)
+    for (std::size_t q = 0; q < nq; ++q) {
+      const double* kq = ws.k.data() + p0 * nq + q;
+      const double* gq = ws.g.data() + p0 * nq + q;
+      for (std::size_t j = 0; j <= i;) {
+        const std::size_t tj = data.task_of[j];
         const std::size_t bq = (q * nt + ti) * nt + tj;
-        ws.task_sum[bq] += wij * ws.k[p * nq + q];
-        const double c = wij * u.coreg[bq] * ws.g[p * nq + q];
-        double* acc = ws.length_sum.data() + q * dim_;
-        for (std::size_t m = 0; m < dim_; ++m) {
-          const double d = xi[m] - xj[m];
-          acc[m] += c * d * d;
+        const double bij = u.coreg[bq];
+        double sum = ws.task_sum[bq];
+        for (; j <= i && data.task_of[j] == tj; ++j) {
+          sum += wrow[j] * kq[j * nq];
+          coef[j] = wrow[j] * bij * gq[j * nq];
         }
+        ws.task_sum[bq] = sum;
+      }
+      double* acc = ws.length_sum.data() + q * dim_;
+      std::size_t m = 0;
+      for (; m + 4 <= dim_; m += 4) {
+        const double x0 = xi[m], x1 = xi[m + 1], x2 = xi[m + 2],
+                     x3 = xi[m + 3];
+        const double* c0 = data.xt.row(m).data();
+        const double* c1 = data.xt.row(m + 1).data();
+        const double* c2 = data.xt.row(m + 2).data();
+        const double* c3 = data.xt.row(m + 3).data();
+        double s0 = acc[m], s1 = acc[m + 1], s2 = acc[m + 2], s3 = acc[m + 3];
+        for (std::size_t j = 0; j <= i; ++j) {
+          const double d0 = x0 - c0[j], d1 = x1 - c1[j], d2 = x2 - c2[j],
+                       d3 = x3 - c3[j];
+          s0 += coef[j] * d0 * d0;
+          s1 += coef[j] * d1 * d1;
+          s2 += coef[j] * d2 * d2;
+          s3 += coef[j] * d3 * d3;
+        }
+        acc[m] = s0;
+        acc[m + 1] = s1;
+        acc[m + 2] = s2;
+        acc[m + 3] = s3;
+      }
+      for (; m < dim_; ++m) {
+        const double xm = xi[m];
+        const double* col = data.xt.row(m).data();
+        double s = acc[m];
+        for (std::size_t j = 0; j <= i; ++j) {
+          const double d = xm - col[j];
+          s += coef[j] * d * d;
+        }
+        acc[m] = s;
       }
     }
   }
@@ -435,13 +538,14 @@ Prediction LcmModel::predict(std::size_t task, const la::Vector& x) const {
     throw std::invalid_argument("LcmModel::predict: dim mismatch");
 
   const std::size_t n = data_.x.rows();
-  const std::span<const double> xs(x.data(), x.size());
-  la::Vector kstar(n);
-  for (std::size_t i = 0; i < n; ++i)
-    kstar[i] = cov_entry(hyper_, task, xs, data_.task_of[i], data_.x.row(i));
+  la::Vector kstar(n), r2(n);
+  cov_row(data_, hyper_, task, x.data(), n, kstar.data(), r2.data(), nullptr,
+          nullptr);
   const double mean_std = la::dot(kstar, alpha_);
   const la::Vector v = chol_->solve_lower(kstar);
-  const double kss = cov_entry(hyper_, task, xs, task, xs);
+  double kss = 0.0;  // k_q(x, x) = 1 for every latent
+  for (std::size_t q = 0; q < options_.num_latent; ++q)
+    kss += hyper_.coreg[(q * num_tasks_ + task) * num_tasks_ + task];
   const double var_std = std::max(kss - la::dot(v, v), 0.0);
 
   Prediction p;

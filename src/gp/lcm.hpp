@@ -129,6 +129,7 @@ class LcmModel {
   /// Subsampled, standardized training data, rows stacked task by task.
   struct Stacked {
     la::Matrix x;
+    la::Matrix xt;                     // x transposed: one row per dimension
     std::vector<std::size_t> task_of;  // task index per stacked row
     la::Vector y_std;
     std::vector<double> y_mean, y_scale;  // per task
@@ -137,13 +138,18 @@ class LcmModel {
   struct Workspace;
 
   Unpacked unpack(const la::Vector& theta) const;
-  double cov_entry(const Unpacked& u, std::size_t task_i,
-                   std::span<const double> xi, std::size_t task_j,
-                   std::span<const double> xj) const;
+  /// out[j] = sum_q B_q[task, t_j] k_q(x, x_j) over the first `count`
+  /// stacked rows, latents added in q order from 0.0; with k and g, latent
+  /// q's kernel and radial factor at row j go to k[j * Q + q] and
+  /// g[j * Q + q]. r2 is scratch for `count` values.
+  void cov_row(const Stacked& data, const Unpacked& u, std::size_t task,
+               const double* x, std::size_t count, double* out, double* r2,
+               double* k, double* g) const;
   /// Validates every task, then subsamples, standardizes and stacks them.
   Stacked stack(const std::vector<TaskData>& tasks, rng::Rng& rng) const;
-  /// K + noise over the stacked samples, one pass over the pairs i >= j;
-  /// with a workspace, each pair's latent kernels are cached there too.
+  /// K + noise over the stacked samples, lower triangle only (the rest is
+  /// zero), one cov_row per row; with a workspace, each pair's latent
+  /// kernels are cached there too.
   la::Matrix stacked_covariance(const Stacked& data, const Unpacked& u,
                                 Workspace* ws) const;
   double nll_and_gradient(const Stacked& data, const la::Vector& theta,

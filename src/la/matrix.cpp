@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace gptc::la {
 
@@ -112,19 +113,24 @@ void axpy(double alpha, const Vector& b, Vector& a) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] += alpha * b[i];
 }
 
-Cholesky::Cholesky(Matrix a, double initial_jitter, int max_attempts) {
-  if (a.rows() != a.cols())
+Cholesky::Cholesky(Matrix a, double initial_jitter, int max_attempts)
+    : l_(std::move(a)) {
+  if (l_.rows() != l_.cols())
     throw std::invalid_argument("Cholesky: matrix not square");
-  const std::size_t n = a.rows();
+  const std::size_t n = l_.rows();
+  Vector diag(n);
   double mean_diag = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mean_diag += a(i, i);
+  for (std::size_t i = 0; i < n; ++i) {
+    diag[i] = l_(i, i);
+    mean_diag += diag[i];
+  }
   mean_diag = n > 0 ? mean_diag / static_cast<double>(n) : 1.0;
   if (mean_diag <= 0.0) mean_diag = 1.0;
 
-  if (try_factor(a, 0.0)) return;
+  if (try_factor(diag, 0.0)) return;
   double jitter = initial_jitter * mean_diag;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (try_factor(a, jitter)) {
+    if (try_factor(diag, jitter)) {
       jitter_added_ = jitter;
       return;
     }
@@ -133,44 +139,57 @@ Cholesky::Cholesky(Matrix a, double initial_jitter, int max_attempts) {
   throw std::runtime_error("Cholesky: matrix not positive definite");
 }
 
-bool Cholesky::try_factor(const Matrix& a, double jitter) {
-  const std::size_t n = a.rows();
-  l_ = Matrix(n, n);
+bool Cholesky::try_factor(const Vector& diag, double jitter) {
+  // In place, column by column. A's strict lower triangle stays untouched
+  // until the factor succeeds, so a failed attempt can retry with more
+  // jitter; L is built transposed in the strict upper triangle and the
+  // diagonal, and moves to the lower triangle at the end. s[i] starts at
+  // A(i, j) and subtracts L(i, k) * L(j, k) for k = 0..j-1 in order, as
+  // the one-row loop does: four k per pass over L's rows (contiguous in
+  // the transposed layout), two rows per step, each row's operands read
+  // before either is written.
+  const std::size_t n = l_.rows();
+  Vector s(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const auto lj = l_.row(j);
-    double d = a(j, j) + jitter;
-    for (std::size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
+    s[j] = diag[j] + jitter;
+    for (std::size_t i = j + 1; i < n; ++i) s[i] = l_(i, j);
+    std::size_t k = 0;
+    for (; k + 4 <= j; k += 4) {
+      const double c0 = l_(k, j), c1 = l_(k + 1, j), c2 = l_(k + 2, j),
+                   c3 = l_(k + 3, j);  // L(j, k..k+3)
+      const double* u0 = l_.row(k).data();  // u0[i] = L(i, k) for i > k
+      const double* u1 = l_.row(k + 1).data();
+      const double* u2 = l_.row(k + 2).data();
+      const double* u3 = l_.row(k + 3).data();
+      s[j] = s[j] - c0 * c0 - c1 * c1 - c2 * c2 - c3 * c3;
+      std::size_t i = j + 1;
+      for (; i + 2 <= n; i += 2) {
+        const double s0 = s[i], s1 = s[i + 1];
+        const double a0 = u0[i], a1 = u0[i + 1], b0 = u1[i], b1 = u1[i + 1];
+        const double d0 = u2[i], d1 = u2[i + 1], e0 = u3[i], e1 = u3[i + 1];
+        s[i] = s0 - a0 * c0 - b0 * c1 - d0 * c2 - e0 * c3;
+        s[i + 1] = s1 - a1 * c0 - b1 * c1 - d1 * c2 - e1 * c3;
+      }
+      if (i < n)
+        s[i] = s[i] - u0[i] * c0 - u1[i] * c1 - u2[i] * c2 - u3[i] * c3;
+    }
+    for (; k < j; ++k) {
+      const double c0 = l_(k, j);
+      const double* u0 = l_.row(k).data();
+      s[j] -= c0 * c0;
+      for (std::size_t i = j + 1; i < n; ++i) s[i] -= u0[i] * c0;
+    }
+    const double d = s[j];
     if (!(d > 0.0) || !std::isfinite(d)) return false;
     const double ljj = std::sqrt(d);
-    lj[j] = ljj;
-    // Rows below the pivot go four per sweep over k: four independent
-    // subtraction chains instead of one. Each row still subtracts in
-    // sequential k order, so every entry is bitwise the one-row result.
-    std::size_t i = j + 1;
-    for (; i + 4 <= n; i += 4) {
-      const double* l0 = l_.row(i).data();
-      const double* l1 = l_.row(i + 1).data();
-      const double* l2 = l_.row(i + 2).data();
-      const double* l3 = l_.row(i + 3).data();
-      double s0 = a(i, j), s1 = a(i + 1, j), s2 = a(i + 2, j),
-             s3 = a(i + 3, j);
-      for (std::size_t k = 0; k < j; ++k) {
-        const double ljk = lj[k];
-        s0 -= l0[k] * ljk;
-        s1 -= l1[k] * ljk;
-        s2 -= l2[k] * ljk;
-        s3 -= l3[k] * ljk;
-      }
-      l_(i, j) = s0 / ljj;
-      l_(i + 1, j) = s1 / ljj;
-      l_(i + 2, j) = s2 / ljj;
-      l_(i + 3, j) = s3 / ljj;
-    }
-    for (; i < n; ++i) {
-      double s = a(i, j);
-      const auto li = l_.row(i);
-      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
-      l_(i, j) = s / ljj;
+    double* uj = l_.row(j).data();
+    uj[j] = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) uj[i] = s[i] / ljj;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = i + 1; c < n; ++c) {
+      l_(c, i) = l_(i, c);
+      l_(i, c) = 0.0;
     }
   }
   return true;
@@ -180,7 +199,35 @@ Vector Cholesky::solve_lower(const Vector& b) const {
   const std::size_t n = order();
   if (b.size() != n) throw std::invalid_argument("solve_lower: size mismatch");
   Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // Four rows per sweep over the solved prefix, then each finishes on the
+  // new entries in k order; every y[i] subtracts in sequential k order, as
+  // one row at a time does.
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* l0 = l_.row(i).data();
+    const double* l1 = l_.row(i + 1).data();
+    const double* l2 = l_.row(i + 2).data();
+    const double* l3 = l_.row(i + 3).data();
+    double s0 = b[i], s1 = b[i + 1], s2 = b[i + 2], s3 = b[i + 3];
+    for (std::size_t k = 0; k < i; ++k) {
+      const double yk = y[k];
+      s0 -= l0[k] * yk;
+      s1 -= l1[k] * yk;
+      s2 -= l2[k] * yk;
+      s3 -= l3[k] * yk;
+    }
+    y[i] = s0 / l0[i];
+    s1 -= l1[i] * y[i];
+    y[i + 1] = s1 / l1[i + 1];
+    s2 -= l2[i] * y[i];
+    s2 -= l2[i + 1] * y[i + 1];
+    y[i + 2] = s2 / l2[i + 2];
+    s3 -= l3[i] * y[i];
+    s3 -= l3[i + 1] * y[i + 1];
+    s3 -= l3[i + 2] * y[i + 2];
+    y[i + 3] = s3 / l3[i + 3];
+  }
+  for (; i < n; ++i) {
     double s = b[i];
     const auto li = l_.row(i);
     for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];

@@ -93,6 +93,12 @@ void axpy(double alpha, const Vector& b, Vector& a);
 /// (starting at `initial_jitter` times the mean diagonal, growing 10x up to
 /// `max_attempts` times) — the standard GP-library defence against nearly
 /// singular kernel matrices. Throws std::runtime_error if all attempts fail.
+///
+/// Only the lower triangle of A (diagonal included) is read: the strict
+/// upper triangle may hold anything, NaN included, without changing a bit
+/// of the factor or the jitter. Every entry of L is bitwise the
+/// one-row-at-a-time result: however the loops are blocked, each entry
+/// subtracts its terms in sequential k order.
 class Cholesky {
  public:
   explicit Cholesky(Matrix a, double initial_jitter = 1e-10,
@@ -119,7 +125,10 @@ class Cholesky {
   double log_det() const;
 
  private:
-  bool try_factor(const Matrix& a, double jitter);
+  /// Factors l_ (holding A) in place with `jitter` added to A's diagonal
+  /// `diag`; false, with A's strict lower triangle intact, at a
+  /// non-positive or non-finite pivot.
+  bool try_factor(const Vector& diag, double jitter);
 
   Matrix l_;
   double jitter_added_ = 0.0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <ios>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -501,6 +502,527 @@ TEST(LcmGradient, MatchesCentralDifferences) {
       model.neg_log_likelihood(edge, grad);
       EXPECT_EQ(grad[clamped], 0.0) << what;
       EXPECT_LT(grad[0], 0.0) << what;  // the penalty pushes back inside
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The likelihood's and the predictor's blocked kernels against the
+// row-at-a-time loops they replaced. The reference keeps those loops as they
+// were: kernel assembly, the Cholesky factor and its jitter schedule, the
+// alpha solve, L^-1, W = alpha alpha^T - K^-1 and the gradient contractions.
+// Every blocked kernel gives each output entry the same operand sequence, so
+// NLL, gradient and predictions must match bit for bit.
+
+namespace reference {
+
+/// The stacked, standardized data LcmModel::fit builds when no task is
+/// subsampled.
+struct Stacked {
+  la::Matrix x;
+  std::vector<std::size_t> task_of;
+  la::Vector y;
+  std::vector<double> y_mean, y_scale;
+};
+
+Stacked stack(const std::vector<TaskData>& tasks) {
+  Stacked s;
+  std::vector<la::Vector> rows;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const TaskData& td = tasks[t];
+    const auto nt = static_cast<double>(td.y.size());
+    double mean = 0.0, scale = 1.0;
+    if (!td.y.empty()) {
+      for (double v : td.y) mean += v;
+      mean /= nt;
+      double var = 0.0;
+      for (double v : td.y) var += (v - mean) * (v - mean);
+      var /= nt;
+      scale = var > 1e-24 ? std::sqrt(var) : 1.0;
+    }
+    s.y_mean.push_back(mean);
+    s.y_scale.push_back(scale);
+    for (std::size_t i = 0; i < td.y.size(); ++i) {
+      rows.emplace_back(td.x.row(i).begin(), td.x.row(i).end());
+      s.y.push_back((td.y[i] - mean) / scale);
+      s.task_of.push_back(t);
+    }
+  }
+  s.x = la::Matrix::from_rows(rows);
+  return s;
+}
+
+struct Latent {
+  double k, g;
+};
+
+Latent latent_kernel(std::size_t dim, const double* l, const double* xi,
+                     const double* xj) {
+  double r2 = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double d = (xi[i] - xj[i]) / l[i];
+    r2 += d * d;
+  }
+  const double r = std::sqrt(r2);
+  const double a = std::sqrt(5.0) * r;
+  const double e = std::exp(-a);
+  return {(1.0 + a + 5.0 * r2 / 3.0) * e, 5.0 / 3.0 * (1.0 + a) * e};
+}
+
+struct Hyper {
+  la::Vector lengthscale, coreg, noise;
+};
+
+Hyper unpack(const la::Vector& theta, std::size_t dim, std::size_t t,
+             std::size_t nq, double min_noise) {
+  Hyper u;
+  u.lengthscale.resize(nq * dim);
+  u.coreg.resize(nq * t * t);
+  u.noise.resize(t);
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t base = q * (dim + 2 * t);
+    for (std::size_t i = 0; i < dim; ++i)
+      u.lengthscale[q * dim + i] = std::exp(theta[base + i]);
+    for (std::size_t i = 0; i < t; ++i) {
+      for (std::size_t j = 0; j < t; ++j) {
+        double v = theta[base + dim + i] * theta[base + dim + j];
+        if (i == j) v += std::exp(theta[base + dim + t + i]);
+        u.coreg[(q * t + i) * t + j] = v;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < t; ++i)
+    u.noise[i] = std::max(std::exp(theta[nq * (dim + 2 * t) + i]), min_noise);
+  return u;
+}
+
+/// One row at a time, each entry one sequential k loop. Returns false at a
+/// non-positive or non-finite pivot.
+bool try_factor(const la::Matrix& a, double jitter, la::Matrix& l) {
+  const std::size_t n = a.rows();
+  l = la::Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j) + jitter;
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    if (!(d > 0.0) || !std::isfinite(d)) return false;
+    l(j, j) = std::sqrt(d);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / l(j, j);
+    }
+  }
+  return true;
+}
+
+/// la::Cholesky's jitter schedule over try_factor; false when every attempt
+/// fails.
+bool cholesky(const la::Matrix& a, la::Matrix& l, double& jitter_added) {
+  const std::size_t n = a.rows();
+  double mean_diag = 0.0;
+  for (std::size_t i = 0; i < n; ++i) mean_diag += a(i, i);
+  mean_diag = n > 0 ? mean_diag / static_cast<double>(n) : 1.0;
+  if (mean_diag <= 0.0) mean_diag = 1.0;
+  jitter_added = 0.0;
+  if (try_factor(a, 0.0, l)) return true;
+  double jitter = 1e-10 * mean_diag;
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    if (try_factor(a, jitter, l)) {
+      jitter_added = jitter;
+      return true;
+    }
+    jitter *= 10.0;
+  }
+  return false;
+}
+
+la::Vector solve_lower(const la::Matrix& l, const la::Vector& b) {
+  const std::size_t n = b.size();
+  la::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  return y;
+}
+
+la::Vector solve(const la::Matrix& l, const la::Vector& b) {
+  la::Vector x = solve_lower(l, b);
+  for (std::size_t ii = x.size(); ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    x[i] /= l(i, i);
+    const double xi = x[i];
+    for (std::size_t k = 0; k < i; ++k) x[k] -= l(i, k) * xi;
+  }
+  return x;
+}
+
+double dot(const la::Vector& a, const la::Vector& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
+/// K + noise over the stacked rows, both triangles, with each pair's latent
+/// kernels and radial factors in k and g ([p * Q + q], pairs i >= j row by
+/// row).
+la::Matrix covariance(const Stacked& s, const Hyper& u, std::size_t dim,
+                      std::size_t nt, std::size_t nq, la::Vector& k,
+                      la::Vector& g) {
+  const std::size_t n = s.x.rows();
+  la::Matrix km(n, n);
+  k.assign(n * (n + 1) / 2 * nq, 0.0);
+  g.assign(k.size(), 0.0);
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ti = s.task_of[i];
+    const double* xi = s.x.row(i).data();
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      const std::size_t tj = s.task_of[j];
+      double v = 0.0;
+      for (std::size_t q = 0; q < nq; ++q) {
+        const Latent lk = latent_kernel(dim, u.lengthscale.data() + q * dim,
+                                        xi, s.x.row(j).data());
+        k[p * nq + q] = lk.k;
+        g[p * nq + q] = lk.g;
+        v += u.coreg[(q * nt + ti) * nt + tj] * lk.k;
+      }
+      if (i == j) v += u.noise[ti];
+      km(i, j) = v;
+      km(j, i) = v;
+    }
+  }
+  return km;
+}
+
+/// LcmModel::neg_log_likelihood on the stacked data; `jitter` receives the
+/// jitter the factor needed.
+double nll(const Stacked& s, std::size_t dim, std::size_t nt, std::size_t nq,
+           const LcmOptions& o, const la::Vector& theta, la::Vector& grad,
+           double& jitter) {
+  const std::size_t n = s.x.rows();
+  grad.assign(theta.size(), 0.0);
+  const auto& b = o.bounds;
+  double penalty = 0.0;
+  const auto pen = [&](std::size_t p, double lo, double hi) {
+    const double v = theta[p];
+    if (v < lo) {
+      penalty += (lo - v) * (lo - v);
+      grad[p] -= 200.0 * (lo - v);
+    }
+    if (v > hi) {
+      penalty += (v - hi) * (v - hi);
+      grad[p] += 200.0 * (v - hi);
+    }
+  };
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t base = q * (dim + 2 * nt);
+    for (std::size_t i = 0; i < dim; ++i)
+      pen(base + i, b.log_lengthscale_min, b.log_lengthscale_max);
+    for (std::size_t t = 0; t < nt; ++t) {
+      pen(base + dim + t, -4.0, 4.0);
+      pen(base + dim + nt + t, b.log_signal_min, 2.0);
+    }
+  }
+  const std::size_t noise_base = nq * (dim + 2 * nt);
+  for (std::size_t t = 0; t < nt; ++t)
+    pen(noise_base + t, b.log_noise_min, b.log_noise_max);
+
+  const Hyper u = unpack(theta, dim, nt, nq, o.min_noise);
+  la::Vector kq, gq;
+  const la::Matrix km = covariance(s, u, dim, nt, nq, kq, gq);
+  la::Matrix l;
+  if (!cholesky(km, l, jitter)) {
+    std::fill(grad.begin(), grad.end(), 0.0);
+    return std::numeric_limits<double>::max();
+  }
+  const la::Vector alpha = solve(l, s.y);
+  double log_det = 0.0;
+  for (std::size_t i = 0; i < n; ++i) log_det += std::log(l(i, i));
+  log_det *= 2.0;
+  const double value =
+      0.5 * dot(s.y, alpha) + 0.5 * log_det +
+      0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+
+  la::Matrix linv(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* ri = linv.row(i).data();
+    std::fill(ri, ri + i + 1, 0.0);
+    ri[i] = 1.0;
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = l(i, k);
+      const double* rk = linv.row(k).data();
+      for (std::size_t c = 0; c <= k; ++c) ri[c] -= lik * rk[c];
+    }
+    const double lii = l(i, i);
+    for (std::size_t c = 0; c <= i; ++c) ri[c] /= lii;
+  }
+  la::Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* wi = w.row(i).data();
+    for (std::size_t j = 0; j <= i; ++j) wi[j] = alpha[i] * alpha[j];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* rk = linv.row(k).data();
+    for (std::size_t i = 0; i <= k; ++i) {
+      const double rki = rk[i];
+      double* wi = w.row(i).data();
+      for (std::size_t j = 0; j <= i; ++j) wi[j] -= rki * rk[j];
+    }
+  }
+
+  la::Vector task_sum(nq * nt * nt), length_sum(nq * dim), noise_sum(nt);
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t ti = s.task_of[i];
+    const double* xi = s.x.row(i).data();
+    for (std::size_t j = 0; j <= i; ++j, ++p) {
+      const std::size_t tj = s.task_of[j];
+      const double wij = (i == j ? 1.0 : 2.0) * w(i, j);
+      if (i == j) noise_sum[ti] += wij;
+      const double* xj = s.x.row(j).data();
+      for (std::size_t q = 0; q < nq; ++q) {
+        const std::size_t bq = (q * nt + ti) * nt + tj;
+        task_sum[bq] += wij * kq[p * nq + q];
+        const double c = wij * u.coreg[bq] * gq[p * nq + q];
+        double* acc = length_sum.data() + q * dim;
+        for (std::size_t m = 0; m < dim; ++m) {
+          const double d = xi[m] - xj[m];
+          acc[m] += c * d * d;
+        }
+      }
+    }
+  }
+  for (std::size_t q = 0; q < nq; ++q) {
+    const std::size_t base = q * (dim + 2 * nt);
+    for (std::size_t m = 0; m < dim; ++m) {
+      const double lm = u.lengthscale[q * dim + m];
+      grad[base + m] -= 0.5 * length_sum[q * dim + m] / (lm * lm);
+    }
+    for (std::size_t a = 0; a < nt; ++a) {
+      for (std::size_t t = 0; t < nt; ++t) {
+        const double sum = task_sum[(q * nt + a) * nt + t];
+        grad[base + dim + a] -= 0.5 * sum * theta[base + dim + t];
+        grad[base + dim + t] -= 0.5 * sum * theta[base + dim + a];
+        if (a == t)
+          grad[base + dim + nt + a] -=
+              0.5 * sum * std::exp(theta[base + dim + nt + a]);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < nt; ++t) {
+    const double raw = std::exp(theta[noise_base + t]);
+    if (raw > o.min_noise) grad[noise_base + t] -= 0.5 * noise_sum[t] * raw;
+  }
+  return value + 100.0 * penalty;
+}
+
+/// LcmModel::predict at the fitted hyperparameters theta.
+Prediction predict(const Stacked& s, std::size_t dim, std::size_t nt,
+                   std::size_t nq, const LcmOptions& o, const la::Vector& theta,
+                   std::size_t task, const la::Vector& x) {
+  const Hyper u = unpack(theta, dim, nt, nq, o.min_noise);
+  la::Vector kq, gq;
+  la::Matrix l;
+  double jitter = 0.0;
+  if (!cholesky(covariance(s, u, dim, nt, nq, kq, gq), l, jitter)) return {};
+  const la::Vector alpha = solve(l, s.y);
+  const auto cov = [&](std::size_t tj, const double* xj) {
+    double v = 0.0;
+    for (std::size_t q = 0; q < nq; ++q)
+      v += u.coreg[(q * nt + task) * nt + tj] *
+           latent_kernel(dim, u.lengthscale.data() + q * dim, x.data(), xj).k;
+    return v;
+  };
+  const std::size_t n = s.x.rows();
+  la::Vector kstar(n);
+  for (std::size_t i = 0; i < n; ++i)
+    kstar[i] = cov(s.task_of[i], s.x.row(i).data());
+  const double mean_std = dot(kstar, alpha);
+  const la::Vector v = solve_lower(l, kstar);
+  const double var_std = std::max(cov(task, x.data()) - dot(v, v), 0.0);
+  Prediction p;
+  p.mean = s.y_mean[task] + s.y_scale[task] * mean_std;
+  p.variance = s.y_scale[task] * s.y_scale[task] * var_std;
+  return p;
+}
+
+}  // namespace reference
+
+/// `n` rows in `dim` dimensions split over `nt` tasks (some may be empty),
+/// from a fixed stream.
+std::vector<TaskData> oracle_tasks(std::size_t n, std::size_t dim,
+                                   std::size_t nt) {
+  rng::Rng rng(1000 + n * 10 + nt);
+  std::vector<std::size_t> counts(nt, 0);
+  if (nt == 1) {
+    counts[0] = n;
+  } else {
+    counts[1] = n / 3;
+    counts[2] = n / 5;
+    counts[0] = n - counts[1] - counts[2];
+  }
+  std::vector<TaskData> tasks;
+  for (std::size_t t = 0; t < nt; ++t) {
+    std::vector<la::Vector> xs;
+    la::Vector ys;
+    for (std::size_t i = 0; i < counts[t]; ++i) {
+      la::Vector x(dim);
+      for (double& v : x) v = rng.uniform();
+      ys.push_back(std::sin(4.0 * x[0] + 0.3 * static_cast<double>(t)) +
+                   x[dim - 1] * x[dim - 1] + 0.01 * rng.normal());
+      xs.push_back(std::move(x));
+    }
+    tasks.push_back(
+        TaskData{xs.empty() ? la::Matrix() : la::Matrix::from_rows(xs), ys});
+  }
+  return tasks;
+}
+
+/// A fit with this one-evaluation budget only loads the stacked data into
+/// the model; the tests read it through neg_log_likelihood and predict.
+LcmOptions oracle_options(std::size_t nq) {
+  LcmOptions o;
+  o.num_latent = nq;
+  o.fit_restarts = 0;
+  o.fit_evaluations = 1;
+  o.min_noise = 0.0;  // lets the jitter theta below reach a singular K
+  return o;
+}
+
+/// Sizes that hit every remainder of the four- and two-wide blocks several
+/// times below 18, and again around the tuning_session's 90 stacked rows.
+std::vector<std::size_t> oracle_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (const int n : {89, 90, 97}) sizes.push_back(static_cast<std::size_t>(n));
+  return sizes;
+}
+
+TEST(LcmGradient, BitwiseEqualToReferenceLoops) {
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t nq : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t n : oracle_sizes()) {
+        const std::size_t dim = 2 + n % 4;  // 2..5: every length block
+        const LcmOptions o = oracle_options(nq);
+        const std::vector<TaskData> tasks = oracle_tasks(n, dim, nt);
+        LcmModel model(dim, nt, o);
+        rng::Rng fit_rng(76);
+        model.fit(tasks, fit_rng);
+        const reference::Stacked s = reference::stack(tasks);
+
+        rng::Rng pick(77 + n);
+        std::vector<la::Vector> thetas;
+        for (int r = 0; r < 3; ++r) {
+          la::Vector th(model.num_hyper());
+          for (std::size_t q = 0; q < nq; ++q) {
+            const std::size_t base = q * (dim + 2 * nt);
+            for (std::size_t m = 0; m < dim; ++m)
+              th[base + m] = pick.uniform(-2.5, 1.0);
+            for (std::size_t t = 0; t < nt; ++t) {
+              th[base + dim + t] = pick.uniform(-1.0, 1.5);
+              th[base + dim + nt + t] = pick.uniform(-5.0, 0.5);
+            }
+          }
+          for (std::size_t t = 0; t < nt; ++t)
+            th[nq * (dim + 2 * nt) + t] = pick.uniform(-9.0, -1.0);
+          thetas.push_back(std::move(th));
+        }
+        // Lengthscales so long that every latent kernel rounds to 1, a
+        // rank-one B and no noise: K is singular, so the factor needs
+        // jitter.
+        la::Vector singular(model.num_hyper(), 0.0);
+        for (std::size_t q = 0; q < nq; ++q) {
+          const std::size_t base = q * (dim + 2 * nt);
+          for (std::size_t m = 0; m < dim; ++m) singular[base + m] = 20.0;
+          for (std::size_t t = 0; t < nt; ++t) {
+            singular[base + dim + t] = 1.0;
+            singular[base + dim + nt + t] = -40.0;
+          }
+        }
+        for (std::size_t t = 0; t < nt; ++t)
+          singular[nq * (dim + 2 * nt) + t] = -80.0;
+        thetas.push_back(singular);
+
+        for (std::size_t r = 0; r < thetas.size(); ++r) {
+          const std::string what = "T=" + std::to_string(nt) +
+                                   " Q=" + std::to_string(nq) +
+                                   " n=" + std::to_string(n) +
+                                   " theta " + std::to_string(r);
+          la::Vector want_grad, grad;
+          double jitter = 0.0;
+          const double want = reference::nll(s, dim, nt, nq, o, thetas[r],
+                                             want_grad, jitter);
+          if (r + 1 == thetas.size() && n >= 4) {  // smaller K can round PD
+            ASSERT_GT(jitter, 0.0) << what;
+            ASSERT_LT(want, std::numeric_limits<double>::max()) << what;
+          }
+          EXPECT_EQ(model.neg_log_likelihood(thetas[r], grad), want)
+              << what << " nll";
+          ASSERT_EQ(grad.size(), want_grad.size()) << what;
+          for (std::size_t p = 0; p < grad.size(); ++p)
+            EXPECT_EQ(grad[p], want_grad[p]) << what << " grad[" << p << "]";
+        }
+      }
+    }
+  }
+}
+
+TEST(LcmGradient, PinnedAtTuningSessionShape) {
+  // 90 rows, d = 4, T = 3, Q = 1: the stacked shape of a tuning_session fit.
+  // Recorded from the row-at-a-time loops; a failure prints the new value
+  // as a hexfloat.
+  const LcmOptions o = oracle_options(1);
+  LcmModel model(4, 3, o);
+  rng::Rng fit_rng(78);
+  model.fit(oracle_tasks(90, 4, 3), fit_rng);
+  la::Vector theta(model.num_hyper());
+  for (std::size_t p = 0; p < theta.size(); ++p)
+    theta[p] = -1.0 + 0.125 * static_cast<double>(p % 7);
+  la::Vector grad;
+  const double nll = model.neg_log_likelihood(theta, grad);
+  const double pinned_grad[13] = {
+      0x1.1d55b8cb92e3ep+3,  -0x1.00f13e964ea8bp+3, -0x1.0724a9768b198p+3,
+      -0x1.bf2e3aa45b94fp+1, 0x1.f410226906497p+1,  0x1.38a0ba2a4102fp+2,
+      0x1.2acea95e44f8fp+2,  0x1.55acddede326p-1,   0x1.7c4c270dee33bp+0,
+      0x1.366dd944fd6b8p-1,  0x1.307e08533c35ap+3,  0x1.06a4bac0274c2p+3,
+      0x1.0b2bcacdcef1fp+2};
+  expect_bits(nll, 0x1.a0b05ee08b125p+6, "nll");
+  ASSERT_EQ(grad.size(), 13u);
+  for (std::size_t p = 0; p < grad.size(); ++p)
+    expect_bits(grad[p], pinned_grad[p], "grad[" + std::to_string(p) + "]");
+}
+
+TEST(LcmPredict, BitwiseEqualToReferenceLoops) {
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t nq : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t n : oracle_sizes()) {
+        const std::size_t dim = 2 + n % 4;
+        LcmOptions o = oracle_options(nq);
+        o.fit_evaluations = 8;
+        const std::vector<TaskData> tasks = oracle_tasks(n, dim, nt);
+        LcmModel model(dim, nt, o);
+        rng::Rng fit_rng(79);
+        model.fit(tasks, fit_rng);
+        const reference::Stacked s = reference::stack(tasks);
+        rng::Rng pick(80 + n);
+        for (int r = 0; r < 3; ++r) {
+          la::Vector x(dim);
+          for (double& v : x) v = pick.uniform();
+          for (std::size_t t = 0; t < nt; ++t) {
+            const std::string what = "T=" + std::to_string(nt) +
+                                     " Q=" + std::to_string(nq) +
+                                     " n=" + std::to_string(n) +
+                                     " task " + std::to_string(t);
+            const Prediction want = reference::predict(
+                s, dim, nt, nq, o, model.hyperparameters(), t, x);
+            const Prediction got = model.predict(t, x);
+            EXPECT_EQ(got.mean, want.mean) << what;
+            EXPECT_EQ(got.variance, want.variance) << what;
+          }
+        }
+      }
     }
   }
 }

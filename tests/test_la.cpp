@@ -216,9 +216,48 @@ void expect_matches_naive(const Matrix& a) {
 }
 
 TEST(Cholesky, BitwiseEqualToRowAtATimeFactor) {
-  // n = 1..13 covers every remainder of the four-row sweep twice over.
+  // n = 1..25 hits every remainder of the four-k passes and of the
+  // two-row steps many times over.
   rng::Rng rng(5);
-  for (std::size_t n = 1; n <= 13; ++n) expect_matches_naive(random_spd(n, rng));
+  for (std::size_t n = 1; n <= 25; ++n) expect_matches_naive(random_spd(n, rng));
+}
+
+TEST(Cholesky, SolveLowerBitwiseEqualToRowAtATime) {
+  // n = 1..13 covers every remainder of the four-row sweep three times.
+  rng::Rng rng(8);
+  for (std::size_t n = 1; n <= 13; ++n) {
+    const Cholesky chol(random_spd(n, rng));
+    const Matrix& l = chol.lower();
+    Vector b(n);
+    for (auto& v : b) v = rng.normal();
+    Vector ref(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = b[i];
+      for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * ref[k];
+      ref[i] = s / l(i, i);
+    }
+    const Vector y = chol.solve_lower(b);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(y[i], ref[i]) << "n " << n << " entry " << i;
+  }
+}
+
+TEST(Cholesky, ReadsOnlyLowerTriangle) {
+  // NaN above the diagonal must not reach the factor, the jitter or a
+  // solve.
+  rng::Rng rng(7);
+  for (std::size_t n = 1; n <= 25; ++n) {
+    const Matrix a = random_spd(n, rng);
+    Matrix lower = a;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) lower(i, j) = std::nan("");
+    const Cholesky full(a), half(lower);
+    EXPECT_EQ(half.jitter_added(), full.jitter_added()) << "n " << n;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(half.lower()(i, j), full.lower()(i, j))
+            << "n " << n << " entry (" << i << "," << j << ")";
+  }
 }
 
 TEST(Cholesky, BitwiseEqualToRowAtATimeFactorWithJitter) {
