@@ -22,10 +22,6 @@ double expected_improvement(const gp::Prediction& p, double best) {
   return (best - p.mean) * normal_cdf(z) + sigma * normal_pdf(z);
 }
 
-double lower_confidence_bound(const gp::Prediction& p, double kappa) {
-  return p.mean - kappa * p.stddev();
-}
-
 namespace {
 
 la::Vector search(const opt::ObjectiveFn& objective, std::size_t dim,

@@ -26,10 +26,6 @@ double normal_cdf(double z);
 /// Returns 0 when the predictive stddev collapses.
 double expected_improvement(const gp::Prediction& p, double best);
 
-/// Lower confidence bound (mean - kappa * stddev); exposed for comparisons
-/// and tests, not used as the paper's default.
-double lower_confidence_bound(const gp::Prediction& p, double kappa = 2.0);
-
 struct AcquisitionOptions {
   int de_population = 24;
   int de_generations = 30;

@@ -329,14 +329,6 @@ Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
   return result;
 }
 
-std::vector<la::Vector> random_design(std::size_t n, std::size_t dim,
-                                      rng::Rng& rng) {
-  std::vector<la::Vector> pts(n, la::Vector(dim));
-  for (auto& p : pts)
-    for (double& v : p) v = rng.uniform();
-  return pts;
-}
-
 std::vector<la::Vector> latin_hypercube(std::size_t n, std::size_t dim,
                                         rng::Rng& rng) {
   std::vector<la::Vector> pts(n, la::Vector(dim));

@@ -88,14 +88,11 @@ struct DifferentialEvolutionOptions {
 /// Synchronous (generational) variant: every trial vector of a generation
 /// is built from the previous generation's population before any selection
 /// is applied, so the population evaluations are independent and can run in
-/// parallel without changing the result.
+/// parallel without changing the result. A non-finite objective value counts
+/// as DBL_MAX, so any finite point beats it.
 Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
                               rng::Rng& rng,
                               const DifferentialEvolutionOptions& options = {});
-
-/// n uniform random points in [0,1]^dim.
-std::vector<la::Vector> random_design(std::size_t n, std::size_t dim,
-                                      rng::Rng& rng);
 
 /// Latin hypercube design: n points, each of the dim coordinates stratified
 /// into n equal bins with one point per bin, jittered within the bin.

@@ -1,6 +1,6 @@
 // Deterministic fixed-size thread pool and data-parallel helpers.
 //
-// The tuner's hot loops (multistart Nelder–Mead restarts, differential-
+// The tuner's hot loops (multistart L-BFGS fit starts, differential-
 // evolution population evaluation, per-source GP fits, Saltelli-matrix
 // predictions) are embarrassingly parallel: every unit of work is a pure
 // function of its index. This module runs such loops across a fixed set of

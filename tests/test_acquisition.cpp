@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "gp/lcm.hpp"
 #include "opt/optimize.hpp"
@@ -66,14 +68,6 @@ TEST(ExpectedImprovement, ApproachesImprovementForDeepMean) {
   EXPECT_NEAR(expected_improvement(p, 0.0), 10.0, 1e-3);
 }
 
-TEST(LowerConfidenceBound, Formula) {
-  gp::Prediction p;
-  p.mean = 2.0;
-  p.variance = 4.0;
-  EXPECT_DOUBLE_EQ(lower_confidence_bound(p, 1.5), 2.0 - 3.0);
-  EXPECT_DOUBLE_EQ(lower_confidence_bound(p), 2.0 - 4.0);
-}
-
 class AcquisitionSearchTest : public ::testing::Test {
  protected:
   // Single-task GP trained on a clean quadratic valley with minimum near
@@ -134,6 +128,39 @@ TEST_F(AcquisitionSearchTest, DeterministicPerRngState) {
   const la::Vector a = maximize_ei(*model_, 0.1, r1);
   const la::Vector b = maximize_ei(*model_, 0.1, r2);
   EXPECT_DOUBLE_EQ(a[0], b[0]);
+}
+
+/// Constant prediction with zero variance: with an incumbent below the mean,
+/// EI is exactly 0 everywhere and the search has no gradient to follow.
+class FlatSurrogate : public gp::Surrogate {
+ public:
+  explicit FlatSurrogate(std::size_t dim) : dim_(dim) {}
+  gp::Prediction predict(const la::Vector&) const override {
+    return {1.0, 0.0};
+  }
+  std::size_t dim() const override { return dim_; }
+
+ private:
+  std::size_t dim_;
+};
+
+TEST(AcquisitionSearch, FlatEiReturnsTheSameInCubePointAtEveryPoolSize) {
+  const FlatSurrogate flat(3);
+  std::vector<la::Vector> proposals;
+  for (std::size_t threads : {0u, 1u, 4u}) {
+    AcquisitionOptions opts;
+    if (threads > 0) opts.pool = std::make_shared<parallel::ThreadPool>(threads);
+    rng::Rng rng(8);
+    const la::Vector x = maximize_ei(flat, 0.0, rng, {{0.2, 0.4, 0.6}}, opts);
+    ASSERT_EQ(x.size(), 3u);
+    for (double v : x) {
+      EXPECT_GE(v, 0.0);
+      EXPECT_LE(v, 1.0);
+    }
+    proposals.push_back(x);
+  }
+  EXPECT_EQ(proposals[1], proposals[0]);  // exact, element by element
+  EXPECT_EQ(proposals[2], proposals[0]);
 }
 
 }  // namespace

@@ -265,6 +265,33 @@ TEST(DifferentialEvolution, StaysInUnitCube) {
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
 }
 
+TEST(DifferentialEvolution, SurvivesNonFiniteObjective) {
+  // NaN below x = 0.2 and -inf above x = 0.9: any finite point must beat
+  // every non-finite one, -inf included, and the search still finds the
+  // minimum at 0.5.
+  const auto f = [](const la::Vector& x) {
+    if (x[0] < 0.2) return std::numeric_limits<double>::quiet_NaN();
+    if (x[0] > 0.9) return -std::numeric_limits<double>::infinity();
+    return (x[0] - 0.5) * (x[0] - 0.5);
+  };
+  rng::Rng rng(9);
+  DifferentialEvolutionOptions opt;
+  opt.generations = 0;
+  // Only non-finite seeds but one: the finite seed must win.
+  opt.population = 4;
+  opt.seeds = {{0.1}, {0.95}, {0.85}, {0.05}};
+  const Result one = differential_evolution(f, 1, rng, opt);
+  EXPECT_EQ(one.x, la::Vector{0.85});
+  EXPECT_EQ(one.value, f({0.85}));
+  // A whole run from a population that starts in the NaN region.
+  opt.population = 12;
+  opt.generations = 40;
+  opt.seeds.assign(8, la::Vector{0.0});
+  const Result r = differential_evolution(f, 1, rng, opt);
+  EXPECT_TRUE(std::isfinite(r.value));
+  EXPECT_NEAR(r.x[0], 0.5, 1e-3);
+}
+
 TEST(DifferentialEvolution, InvalidInputsThrow) {
   rng::Rng rng(6);
   EXPECT_THROW(differential_evolution(sphere, 0, rng), std::invalid_argument);
@@ -272,19 +299,6 @@ TEST(DifferentialEvolution, InvalidInputsThrow) {
   opt.seeds = {{0.1, 0.2}};  // wrong dim
   EXPECT_THROW(differential_evolution(sphere, 3, rng, opt),
                std::invalid_argument);
-}
-
-TEST(Sampling, RandomDesignShapeAndRange) {
-  rng::Rng rng(7);
-  const auto pts = random_design(50, 4, rng);
-  EXPECT_EQ(pts.size(), 50u);
-  for (const auto& p : pts) {
-    EXPECT_EQ(p.size(), 4u);
-    for (double v : p) {
-      EXPECT_GE(v, 0.0);
-      EXPECT_LT(v, 1.0);
-    }
-  }
 }
 
 TEST(Sampling, LatinHypercubeStratifies) {

@@ -77,7 +77,7 @@ TEST_P(SingleTaskGpProperty, FitIsFiniteAndVarianceNonNegative) {
   model.fit({gp::TaskData{la::Matrix::from_rows({pts.begin(), pts.end()}), y}},
             rng);
   EXPECT_GT(model.task_covariance(0, 0), 0.0);
-  for (const auto& q : opt::random_design(20, dim, rng)) {
+  for (const auto& q : opt::latin_hypercube(20, dim, rng)) {
     const gp::Prediction p = model.predict(0, q);
     EXPECT_TRUE(std::isfinite(p.mean));
     EXPECT_TRUE(std::isfinite(p.variance));
@@ -212,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, LeastSquaresProperty,
 // Sampler property: every design type fills [0,1]^d, is deterministic per
 // seed, and has roughly uniform marginals.
 
-enum class DesignKind { Random, Lhs, Halton };
+enum class DesignKind { Lhs, Halton };
 
 class SamplerProperty
     : public ::testing::TestWithParam<std::tuple<DesignKind, int>> {};
@@ -223,9 +223,6 @@ TEST_P(SamplerProperty, UniformMarginals) {
   rng::Rng rng(23);
   std::vector<la::Vector> pts;
   switch (kind) {
-    case DesignKind::Random:
-      pts = opt::random_design(n, static_cast<std::size_t>(dim), rng);
-      break;
     case DesignKind::Lhs:
       pts = opt::latin_hypercube(n, static_cast<std::size_t>(dim), rng);
       break;
@@ -247,16 +244,12 @@ TEST_P(SamplerProperty, UniformMarginals) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndDims, SamplerProperty,
-    ::testing::Combine(::testing::Values(DesignKind::Random, DesignKind::Lhs,
-                                         DesignKind::Halton),
+    ::testing::Combine(::testing::Values(DesignKind::Lhs, DesignKind::Halton),
                        ::testing::Values(1, 3, 8)),
     [](const ::testing::TestParamInfo<std::tuple<DesignKind, int>>& param_info) {
       const DesignKind kind = std::get<0>(param_info.param);
       const int dim = std::get<1>(param_info.param);
-      const std::string name =
-          kind == DesignKind::Random
-              ? "Random"
-              : (kind == DesignKind::Lhs ? "Lhs" : "Halton");
+      const std::string name = kind == DesignKind::Lhs ? "Lhs" : "Halton";
       return name + "_d" + std::to_string(dim);
     });
 
