@@ -29,7 +29,6 @@ double expected_improvement(const gp::Prediction& p, double best);
 struct AcquisitionOptions {
   int de_population = 24;
   int de_generations = 30;
-  int extra_random_seeds = 8;
   /// DE population evaluations (surrogate predictions) run concurrently on
   /// this pool (null = serial); the proposed point is bitwise identical for
   /// any pool size.

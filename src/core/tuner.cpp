@@ -9,6 +9,11 @@ namespace gptc::core {
 
 namespace {
 
+/// Retry limit when a proposal duplicates an already-evaluated
+/// configuration (common in small integer spaces); after this many retries
+/// the duplicate is evaluated anyway.
+constexpr int kDuplicateRetries = 8;
+
 /// Copies the TLA options with every model/search layer pointed at one
 /// shared pool (no-op when num_threads == 0: all pool fields stay null and
 /// every loop takes its serial path).
@@ -85,9 +90,6 @@ TuningResult Tuner::tune(const space::Config& task,
         for (double& v : x) v = rand_rng.uniform();
         proposer = "random(after-failures)";
       }
-    } else if (!is_tla && no_valid_target) {
-      x = strategy->propose(ctx, iter_rng);
-      proposer = std::string(strategy->name());
     } else {
       x = strategy->propose(ctx, iter_rng);
     }
@@ -97,7 +99,7 @@ TuningResult Tuner::tune(const space::Config& task,
     space::Config params = problem_->param_space.decode(x);
     rng::Rng dup_rng = iter_rng.split("dedup");
     for (int r = 0;
-         r < options_.duplicate_retries && result.history.contains(params);
+         r < kDuplicateRetries && result.history.contains(params);
          ++r) {
       la::Vector rand_x(problem_->param_space.dim());
       for (double& v : rand_x) v = dup_rng.uniform();
@@ -187,7 +189,7 @@ std::vector<TuningResult> Tuner::tune_multitask(
 
       space::Config params = problem_->param_space.decode(x);
       rng::Rng dup_rng = task_rng.split("dedup");
-      for (int r = 0; r < options_.duplicate_retries &&
+      for (int r = 0; r < kDuplicateRetries &&
                       results[t].history.contains(params);
            ++r) {
         la::Vector rand_x(problem_->param_space.dim());

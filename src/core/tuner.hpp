@@ -31,10 +31,6 @@ struct TunerOptions {
   /// index-keyed RNG streams and reductions run in fixed index order. The
   /// black-box objective itself is always called from the tuning thread.
   int num_threads = 0;
-  /// Retry limit when a proposal duplicates an already-evaluated
-  /// configuration (common in small integer spaces); after this many
-  /// retries the duplicate is evaluated anyway.
-  int duplicate_retries = 8;
   /// Optional callback after every evaluation: (index, record, best_so_far).
   std::function<void(int, const EvalRecord&, double)> on_evaluation;
 };

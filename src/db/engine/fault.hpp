@@ -64,11 +64,6 @@ class FaultInjector {
     armed_nth_ = nth;
   }
 
-  void disarm() {
-    std::lock_guard<std::mutex> lock(mu_);
-    armed_nth_ = 0;
-  }
-
   /// Occurrences of `point` seen so far (armed or not).
   std::uint64_t count(FaultPoint point) const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -54,7 +54,6 @@ class OrderedIndex {
       : path_(query::PathRef::parse(path)) {}
 
   const std::string& path() const { return path_.text(); }
-  std::size_t distinct_keys() const { return postings_.size(); }
 
   /// Incremental maintenance: called with the document *as stored* (insert
   /// after the value exists, erase before it changes or the doc goes away).

@@ -51,9 +51,6 @@ class CompiledQuery {
   };
   const std::vector<Conjunct>& conjuncts() const { return conjuncts_; }
 
-  /// The interned paths the program touches (diagnostics/tests).
-  std::size_t path_count() const { return paths_.size(); }
-
   // Move-only: OpInstr/Conjunct pointers reference this object's owned
   // query tree, which a copy would not share.
   CompiledQuery(CompiledQuery&&) = default;

@@ -86,8 +86,6 @@ class CrowdServer {
   /// their responses are written, then workers join. Idempotent.
   void stop();
 
-  bool running() const { return running_.load(); }
-
   /// The bound port (after start()); with options.port == 0 this is the
   /// kernel-assigned ephemeral port.
   std::uint16_t port() const { return listener_.bound_port(); }

@@ -72,10 +72,6 @@ bool Socket::set_send_timeout_ms(std::uint32_t ms) {
   return ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
 }
 
-void Socket::shutdown_read() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::shutdown_write() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }

@@ -50,11 +50,6 @@ class Socket {
   bool set_recv_timeout_ms(std::uint32_t ms);
   bool set_send_timeout_ms(std::uint32_t ms);
 
-  /// Half-closes the read side (shutdown(SHUT_RD)); a blocked reader on
-  /// this socket wakes with Eof. Used to nudge idle connections during
-  /// server drain without yanking in-flight responses.
-  void shutdown_read();
-
   /// Half-closes the write side (shutdown(SHUT_WR)): queued data and a
   /// FIN are flushed to the peer. Part of the graceful-close sequence.
   void shutdown_write();

@@ -45,7 +45,6 @@ class Parameter {
   double lower() const { return lower_; }
   double upper() const { return upper_; }
   const std::vector<std::string>& categories() const { return categories_; }
-  std::size_t num_categories() const { return categories_.size(); }
 
   /// Maps a typed value into [0, 1). Integers and categoricals map to bin
   /// centers so that rounding on decode is unbiased. Out-of-range values
