@@ -16,113 +16,11 @@ void clamp01(la::Vector& x) {
 double safe_eval(const ObjectiveFn& f, const la::Vector& x) {
   const double v = f(x);
   // Treat non-finite objective values as very bad rather than poisoning the
-  // simplex / population.
+  // population.
   return std::isfinite(v) ? v : std::numeric_limits<double>::max();
 }
 
 }  // namespace
-
-Result nelder_mead(const ObjectiveFn& f, const la::Vector& start,
-                   const NelderMeadOptions& options) {
-  const std::size_t d = start.size();
-  if (d == 0) throw std::invalid_argument("nelder_mead: empty start point");
-
-  // Standard coefficients.
-  constexpr double kReflect = 1.0, kExpand = 2.0, kContract = 0.5,
-                   kShrink = 0.5;
-
-  struct Vertex {
-    la::Vector x;
-    double fx;
-  };
-
-  Result result;
-  result.evaluations = 0;
-  const auto eval = [&](la::Vector x) {
-    if (options.clamp_unit_cube) clamp01(x);
-    const double v = safe_eval(f, x);
-    ++result.evaluations;
-    if (v < result.value) {
-      result.value = v;
-      result.x = x;
-    }
-    return Vertex{std::move(x), v};
-  };
-
-  std::vector<Vertex> simplex;
-  simplex.reserve(d + 1);
-  simplex.push_back(eval(start));
-  for (std::size_t i = 0; i < d; ++i) {
-    la::Vector x = start;
-    // Step away from the boundary if perturbing would leave the cube.
-    double step = options.initial_step;
-    if (options.clamp_unit_cube && x[i] + step > 1.0) step = -step;
-    x[i] += step;
-    if (x[i] == start[i]) x[i] += 1e-3;  // degenerate range guard
-    simplex.push_back(eval(std::move(x)));
-  }
-
-  const auto by_f = [](const Vertex& a, const Vertex& b) {
-    return a.fx < b.fx;
-  };
-
-  while (result.evaluations < options.max_evaluations) {
-    std::sort(simplex.begin(), simplex.end(), by_f);
-    const double f_spread = simplex.back().fx - simplex.front().fx;
-    double diameter = 0.0;
-    for (std::size_t i = 0; i < d; ++i)
-      diameter = std::max(diameter, std::abs(simplex.back().x[i] -
-                                             simplex.front().x[i]));
-    // Stop only when the simplex has collapsed in BOTH objective value and
-    // position: f-values can agree to machine precision while the vertices
-    // are still far apart (e.g. symmetric points around a quadratic
-    // minimum), and stopping there returns a poor vertex.
-    if (f_spread < options.f_tolerance && diameter < options.x_tolerance)
-      break;
-
-    // Centroid of all but the worst vertex.
-    la::Vector centroid(d, 0.0);
-    for (std::size_t v = 0; v < d; ++v)
-      for (std::size_t i = 0; i < d; ++i) centroid[i] += simplex[v].x[i];
-    for (double& c : centroid) c /= static_cast<double>(d);
-
-    const auto blend = [&](double coef) {
-      la::Vector x(d);
-      for (std::size_t i = 0; i < d; ++i)
-        x[i] = centroid[i] + coef * (centroid[i] - simplex.back().x[i]);
-      return x;
-    };
-
-    Vertex reflected = eval(blend(kReflect));
-    if (reflected.fx < simplex.front().fx) {
-      Vertex expanded = eval(blend(kExpand));
-      simplex.back() = expanded.fx < reflected.fx ? std::move(expanded)
-                                                  : std::move(reflected);
-      continue;
-    }
-    if (reflected.fx < simplex[d - 1].fx) {
-      simplex.back() = std::move(reflected);
-      continue;
-    }
-    Vertex contracted = eval(blend(reflected.fx < simplex.back().fx
-                                       ? kContract
-                                       : -kContract));
-    if (contracted.fx < std::min(reflected.fx, simplex.back().fx)) {
-      simplex.back() = std::move(contracted);
-      continue;
-    }
-    // Shrink toward the best vertex.
-    for (std::size_t v = 1; v <= d; ++v) {
-      la::Vector x(d);
-      for (std::size_t i = 0; i < d; ++i)
-        x[i] = simplex[0].x[i] +
-               kShrink * (simplex[v].x[i] - simplex[0].x[i]);
-      simplex[v] = eval(std::move(x));
-      if (result.evaluations >= options.max_evaluations) break;
-    }
-  }
-  return result;
-}
 
 Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
                   const std::function<Result(std::size_t)>& run) {

@@ -26,55 +26,6 @@ double rosenbrock(const la::Vector& x) {
   return s;
 }
 
-TEST(NelderMead, MinimizesSphere) {
-  const Result r = nelder_mead(sphere, {0.9, 0.9, 0.9});
-  EXPECT_LT(r.value, 1e-6);
-  for (double v : r.x) EXPECT_NEAR(v, 0.3, 1e-3);
-}
-
-TEST(NelderMead, MinimizesRosenbrock2d) {
-  NelderMeadOptions opt;
-  opt.max_evaluations = 2000;
-  const Result r = nelder_mead(rosenbrock, {-0.5, 0.5}, opt);
-  EXPECT_LT(r.value, 1e-4);
-  EXPECT_NEAR(r.x[0], 1.0, 0.05);
-  EXPECT_NEAR(r.x[1], 1.0, 0.05);
-}
-
-TEST(NelderMead, RespectsEvaluationBudget) {
-  NelderMeadOptions opt;
-  opt.max_evaluations = 25;
-  const Result r = nelder_mead(rosenbrock, {0.0, 0.0}, opt);
-  // The budget caps main-loop evaluations; a final shrink step may add at
-  // most dim more.
-  EXPECT_LE(r.evaluations, 27);
-}
-
-TEST(NelderMead, ClampsToUnitCube) {
-  NelderMeadOptions opt;
-  opt.clamp_unit_cube = true;
-  // Minimum outside the cube at (1.5, 1.5): must converge to the corner.
-  const auto f = [](const la::Vector& x) {
-    return (x[0] - 1.5) * (x[0] - 1.5) + (x[1] - 1.5) * (x[1] - 1.5);
-  };
-  const Result r = nelder_mead(f, {0.5, 0.5}, opt);
-  EXPECT_NEAR(r.x[0], 1.0, 0.02);
-  EXPECT_NEAR(r.x[1], 1.0, 0.02);
-}
-
-TEST(NelderMead, SurvivesNonFiniteObjective) {
-  const auto f = [](const la::Vector& x) {
-    if (x[0] < 0.2) return std::numeric_limits<double>::quiet_NaN();
-    return (x[0] - 0.5) * (x[0] - 0.5);
-  };
-  const Result r = nelder_mead(f, {0.8});
-  EXPECT_NEAR(r.x[0], 0.5, 1e-3);
-}
-
-TEST(NelderMead, EmptyStartThrows) {
-  EXPECT_THROW(nelder_mead(sphere, {}), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // L-BFGS
 
