@@ -8,7 +8,9 @@ into one file). The parent run (--parent), the parent-equivalent null runs
 (--change) are compared cell by cell, a cell being one (figure table,
 algorithm) pair:
 
-  1. take each run's final-evaluation mean from the table's last row;
+  1. take each run's final-evaluation mean from the table's last row (the
+     benches print means at round-trip precision, %.17g, and the cell table
+     printed here shows them the same way);
   2. rank the runs within the cell, 1 = lowest mean, ties averaged; a cell
      that any run prints as "-" (no successful evaluation) is skipped;
   3. a run's score is its sum of ranks over all cells.
@@ -121,13 +123,13 @@ def main():
         if any(m is None for m in means):
             skipped += 1
             print(f"| {cell} | " + " | ".join(
-                "-" if m is None else f"{m:.4g}" for m in means) +
+                "-" if m is None else repr(m) for m in means) +
                 " | skipped |")
             continue
         ranks = average_ranks(means)
         scores = [s + r for s, r in zip(scores, ranks)]
         used += 1
-        print(f"| {cell} | " + " | ".join(f"{m:.4g}" for m in means) +
+        print(f"| {cell} | " + " | ".join(repr(m) for m in means) +
               " | " + " / ".join(f"{r:g}" for r in ranks) + " |")
 
     print()

@@ -124,7 +124,9 @@ inline std::map<core::TlaKind, Series> run_comparison(
 }
 
 /// Prints the aggregated series as the paper's figure data: one row per
-/// evaluation count, one column pair (mean, std) per tuner.
+/// evaluation count, one column pair (mean, std) per tuner. Means print at
+/// round-trip precision (%.17g), so runs whose means differ in any bit
+/// print differently and bench/ablation_verdict.py ranks them apart.
 inline void print_series_table(
     const std::string& title,
     const std::map<core::TlaKind, Series>& series) {
@@ -132,7 +134,7 @@ inline void print_series_table(
   std::printf("%5s", "eval");
   for (const auto& [kind, s] : series) {
     (void)s;
-    std::printf("  %21s", std::string(core::to_string(kind)).c_str());
+    std::printf("  %33s", std::string(core::to_string(kind)).c_str());
   }
   std::printf("\n");
   const std::size_t budget =
@@ -142,9 +144,9 @@ inline void print_series_table(
     for (const auto& [kind, s] : series) {
       (void)kind;
       if (std::isfinite(s.mean[i]))
-        std::printf("  %12.4g +-%6.2g", s.mean[i], s.stddev[i]);
+        std::printf("  %24.17g +-%6.2g", s.mean[i], s.stddev[i]);
       else
-        std::printf("  %21s", "-");
+        std::printf("  %33s", "-");
     }
     std::printf("\n");
   }
