@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace gptc::la {
@@ -99,12 +100,18 @@ void axpy(double alpha, const Vector& b, Vector& a);
 /// of the factor or the jitter. Every entry of L is bitwise the
 /// one-row-at-a-time result: however the loops are blocked, each entry
 /// subtracts its terms in sequential k order.
+///
+/// The factor is computed in A's own storage: a caller that moves A in and
+/// takes the storage back with release() can assemble its next matrix
+/// there without allocating.
 class Cholesky {
  public:
   explicit Cholesky(Matrix a, double initial_jitter = 1e-10,
                     int max_attempts = 8);
 
   const Matrix& lower() const { return l_; }
+  /// Hands back the storage: L in the lower triangle, zeros above.
+  Matrix release() && { return std::move(l_); }
   std::size_t order() const { return l_.rows(); }
   /// Total jitter that was added to the diagonal to make A factorizable.
   double jitter_added() const { return jitter_added_; }

@@ -242,6 +242,21 @@ TEST(Cholesky, SolveLowerBitwiseEqualToRowAtATime) {
   }
 }
 
+TEST(Cholesky, ReleaseHandsBackTheFactorForReuse) {
+  // The storage handed back holds L with zeros above the diagonal; a
+  // matrix assembled into it (lower triangle only) factors bitwise as a
+  // fresh copy does.
+  rng::Rng rng(8);
+  const Matrix a = random_spd(9, rng), b = random_spd(9, rng);
+  Cholesky first(a);
+  const Matrix l = first.lower();
+  Matrix storage = std::move(first).release();
+  EXPECT_EQ(storage, l);
+  for (std::size_t i = 0; i < 9; ++i)
+    for (std::size_t j = 0; j <= i; ++j) storage(i, j) = b(i, j);
+  EXPECT_EQ(Cholesky(std::move(storage)).lower(), Cholesky(b).lower());
+}
+
 TEST(Cholesky, ReadsOnlyLowerTriangle) {
   // NaN above the diagonal must not reach the factor, the jitter or a
   // solve.
