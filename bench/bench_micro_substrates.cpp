@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the library substrates: dense
-// kernels, single-task GP (one-task LCM) fit/predict scaling, LCM fit and
-// one LCM likelihood evaluation, acquisition search, Sobol
+// kernels, single-task GP (one-task LCM) fit/predict scaling, LCM fit, one
+// LCM likelihood evaluation and one warm LCM refit, acquisition search, Sobol
 // estimators, JSON parsing and encoding (synthetic and on the crowd_pull
 // response shape) and document-store queries.
 //
@@ -108,15 +108,9 @@ void BM_LcmFit(benchmark::State& state) {
 }
 BENCHMARK(BM_LcmFit)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
 
-// One LCM likelihood evaluation with its analytic gradient, the unit of
-// every L-BFGS step, on the tuning_session's shape: d = 4, T = 3 tasks
-// holding n stacked rows (n - n/3 - n/5, n/3, n/5), Q latents.
-void BM_LcmNll(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  gp::LcmOptions opt;
-  opt.num_latent = static_cast<std::size_t>(state.range(1));
-  opt.fit_restarts = 0;
-  opt.fit_evaluations = 1;  // the fit only loads the data
+/// The tuning_session's stacked shape: d = 4, T = 3 tasks holding n rows
+/// (n - n/3 - n/5, n/3, n/5).
+std::vector<gp::TaskData> session_tasks(std::size_t n) {
   const std::size_t counts[3] = {n - n / 3 - n / 5, n / 3, n / 5};
   rng::Rng rng(15);
   std::vector<gp::TaskData> tasks;
@@ -127,9 +121,19 @@ void BM_LcmNll(benchmark::State& state) {
       y.push_back(std::sin(4.0 * p[0] + 0.3 * static_cast<double>(t)) + p[1]);
     tasks.push_back({la::Matrix::from_rows({pts.begin(), pts.end()}), y});
   }
+  return tasks;
+}
+
+// One LCM likelihood evaluation with its analytic gradient, the unit of
+// every L-BFGS step, on session_tasks(n) with Q latents.
+void BM_LcmNll(benchmark::State& state) {
+  gp::LcmOptions opt;
+  opt.num_latent = static_cast<std::size_t>(state.range(1));
+  opt.fit_restarts = 0;
+  opt.fit_evaluations = 1;  // the fit only loads the data
   gp::LcmModel model(4, 3, opt);
   rng::Rng fit_rng(16);
-  model.fit(tasks, fit_rng);
+  model.fit(session_tasks(static_cast<std::size_t>(state.range(0))), fit_rng);
   la::Vector theta = model.hyperparameters(), grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.neg_log_likelihood(theta, grad));
@@ -138,6 +142,37 @@ void BM_LcmNll(benchmark::State& state) {
 BENCHMARK(BM_LcmNll)
     ->Args({40, 1})->Args({90, 1})->Args({130, 1})->Args({90, 2})
     ->Unit(benchmark::kMicrosecond);
+
+// One warm refit, the surrogate work a tuning_session iteration pays: a
+// model fitted on session_tasks(n) with default options (Q latents) fits
+// again after the first task gains one row. Each iteration refits a copy
+// of the same fitted model; the copy is not timed.
+void BM_LcmRefit(benchmark::State& state) {
+  gp::LcmOptions opt;
+  opt.num_latent = static_cast<std::size_t>(state.range(1));
+  std::vector<gp::TaskData> tasks =
+      session_tasks(static_cast<std::size_t>(state.range(0)));
+  gp::LcmModel fitted(4, 3, opt);
+  rng::Rng fit_rng(16);
+  fitted.fit(tasks, fit_rng);
+  rng::Rng row_rng(17);
+  const la::Vector x = opt::latin_hypercube(1, 4, row_rng)[0];
+  std::vector<la::Vector> rows;
+  for (std::size_t i = 0; i < tasks[0].x.rows(); ++i)
+    rows.emplace_back(tasks[0].x.row(i).begin(), tasks[0].x.row(i).end());
+  rows.push_back(x);
+  tasks[0].x = la::Matrix::from_rows(rows);
+  tasks[0].y.push_back(std::sin(4.0 * x[0]) + x[1]);
+  for (auto _ : state) {
+    state.PauseTiming();
+    gp::LcmModel model = fitted;
+    rng::Rng refit_rng(18);
+    state.ResumeTiming();
+    model.fit(tasks, refit_rng);
+    benchmark::DoNotOptimize(model.hyperparameters().data());
+  }
+}
+BENCHMARK(BM_LcmRefit)->Args({90, 1})->Unit(benchmark::kMillisecond);
 
 // Threads-vs-speedup: single-task GP fit with several starts, at 0 (serial
 // path),
