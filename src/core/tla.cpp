@@ -57,10 +57,11 @@ namespace {
 
 /// The single-task GP's fit options: options.lcm with one latent,
 /// options.max_source_samples as the per-task cap, and at least one
-/// jittered start. A single-task fit is fresh every time, so it has no warm
-/// start; the jittered start keeps it at two starts (theta0 and one more)
-/// when options.lcm.fit_restarts is 0, a setting meant for the multi-task
-/// fits, which are warm-started across iterations.
+/// jittered start. A single-task fit is a fresh model every time, so it is
+/// always a cold fit; the jittered start keeps it at two starts (theta0
+/// and one more) when options.lcm.fit_restarts is 0. The multi-task models
+/// live across iterations: only their first fit is cold, and every refit
+/// runs one start from the previous hyperparameters.
 gp::LcmOptions single_task_options(const TlaOptions& options) {
   gp::LcmOptions o = options.lcm;
   o.num_latent = 1;

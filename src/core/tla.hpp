@@ -49,12 +49,14 @@ struct TlaContext {
 };
 
 struct TlaOptions {
-  /// The multi-task fits (Multitask(PS/TS)) take these as they are. Every
-  /// single-task GP (NoTLA, WeightedSum, Stacking, the Multitask(PS) source
-  /// surrogates, the first-evaluation model) is a one-task LCM fitted with
-  /// these too, except num_latent = 1, max_samples_per_task =
-  /// max_source_samples and fit_restarts at least 1 (a fresh single-task
-  /// fit has no warm start).
+  /// The multi-task fits (Multitask(PS/TS)) take these as they are; their
+  /// models live across iterations, so fit_restarts counts only on the
+  /// first (cold) fit and every refit is one start from the previous
+  /// hyperparameters. Every single-task GP (NoTLA, WeightedSum, Stacking,
+  /// the Multitask(PS) source surrogates, the first-evaluation model) is a
+  /// one-task LCM fitted with these too, except num_latent = 1,
+  /// max_samples_per_task = max_source_samples and fit_restarts at least 1
+  /// (a fresh single-task fit is always cold).
   gp::LcmOptions lcm;
   AcquisitionOptions acquisition;
   /// WeightedSumStatic weights, ordered [source_1..source_n, target]. Empty
