@@ -19,6 +19,14 @@ The change fails only if its score is strictly higher than the score of
 every parent-equivalent run (the parent and each null). Exit status: 0 on
 pass, 1 on fail, 2 on unreadable or mismatched inputs.
 
+The nulls must relabel a stream that the changed code draws from, or their
+spread says nothing about the cells the change moves. For a change confined
+to the multi-task models, relabel the Multitask(TS) and Multitask(PS) fit
+streams, rng.split("lcm-ts") and rng.split("lcm-ps") in src/core/tla.cpp,
+not "lcm-fit": in the default bench mode (fit_restarts = 0) a multi-task
+refit draws nothing from "lcm-fit", so those nulls reach the multi-task
+cells only through the single-task fits around them.
+
   $ python3 bench/ablation_verdict.py --parent P.out \\
         --null N1.out N2.out N3.out N4.out --change C.out
 """

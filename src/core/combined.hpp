@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gp/lcm.hpp"
@@ -28,7 +29,11 @@ class WeightedSurrogate final : public gp::Surrogate {
   static std::shared_ptr<WeightedSurrogate> equal(
       std::vector<gp::SurrogatePtr> models);
 
-  gp::Prediction predict(const la::Vector& x) const override;
+  using gp::Surrogate::predict;
+  /// Each member predicts the whole span, then every point combines its
+  /// members in member order.
+  void predict(std::span<const la::Vector> x,
+               std::span<gp::Prediction> out) const override;
   std::size_t dim() const override;
 
   const la::Vector& weights() const { return weights_; }
@@ -59,7 +64,11 @@ class ResidualStack final : public gp::Surrogate {
 
   std::size_t num_layers() const { return layers_.size(); }
 
-  gp::Prediction predict(const la::Vector& x) const override;
+  using gp::Surrogate::predict;
+  /// Each layer predicts the whole span, then every point combines its
+  /// layers in layer order.
+  void predict(std::span<const la::Vector> x,
+               std::span<gp::Prediction> out) const override;
   std::size_t dim() const override { return dim_; }
 
  private:

@@ -24,12 +24,16 @@
 // model are all LcmModel(dim, 1, options) read through task_view(model, 0).
 //
 // The latent kernels are ARD Matern-5/2 over the encoded unit cube; every
-// fit is multistart L-BFGS on the analytic gradient of the negative log
-// marginal likelihood, with outputs standardized per task.
+// fit is multistart L-BFGS on the negative log marginal likelihood, with
+// outputs standardized per task. The likelihood runs in two stages over
+// one workspace: the value (covariance, factor, solve) at every line-search
+// trial, the analytic gradient (L^-1, W, contractions) only at accepted
+// ones.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gp/surrogate.hpp"
@@ -62,8 +66,8 @@ struct LcmOptions {
   /// Jittered starts on top of the default start theta_0, on a cold fit
   /// only (see fit).
   int fit_restarts = 1;
-  /// L-BFGS budget per start: likelihood evaluations, each with its
-  /// analytic gradient.
+  /// L-BFGS budget per start: likelihood values, line-search trials
+  /// included (the analytic gradient is computed at accepted points only).
   int fit_evaluations = 30;
   /// Cap on samples used per task (must be positive). LCM likelihood
   /// evaluation is O((sum_t n_t)^3); large crowd-sourced source datasets
@@ -93,8 +97,15 @@ class LcmModel {
   /// on any throw the model keeps its previous fit.
   void fit(std::vector<TaskData> tasks, rng::Rng& rng);
 
-  /// Predictive distribution for `task` at encoded point x (original output
-  /// units of that task).
+  /// Predictive distributions for `task` at encoded points: out[i] at x[i]
+  /// (original output units of that task). The whole span shares one
+  /// forward solve, and each out[i] is bitwise the one-point predict at
+  /// x[i].
+  void predict(std::size_t task, std::span<const la::Vector> x,
+               std::span<Prediction> out) const;
+
+  /// Predictive distribution for `task` at one encoded point: the span
+  /// predict over {x}.
   Prediction predict(std::size_t task, const la::Vector& x) const;
 
   std::size_t dim() const { return dim_; }
@@ -158,8 +169,18 @@ class LcmModel {
   /// too.
   void stacked_covariance(const Stacked& data, const Unpacked& u,
                           la::Matrix& km, Workspace* ws) const;
-  double nll_and_gradient(const Stacked& data, const la::Vector& theta,
-                          la::Vector& grad, Workspace& ws) const;
+  /// The out-of-bounds penalty at theta; with grad, its gradient is added
+  /// there.
+  double bounds_penalty(const la::Vector& theta, la::Vector* grad) const;
+  /// The likelihood's value stage at theta: covariance, factor and alpha
+  /// solve, kept in `ws` for the gradient stage. DBL_MAX when K cannot be
+  /// factored.
+  double nll_value(const Stacked& data, const la::Vector& theta,
+                   Workspace& ws) const;
+  /// The gradient stage at the theta of the last nll_value on `ws`, which
+  /// must have factored K: L^-1, W and the contractions into grad.
+  void nll_gradient(const Stacked& data, Workspace& ws,
+                    la::Vector& grad) const;
   /// Factors K at theta and only then replaces the model's state.
   void commit(Stacked data, la::Vector theta);
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "la/matrix.hpp"
 
@@ -25,8 +26,20 @@ class Surrogate {
  public:
   virtual ~Surrogate() = default;
 
-  /// Predictive distribution at an encoded point.
-  virtual Prediction predict(const la::Vector& x) const = 0;
+  /// Predictive distributions at encoded points: out[i] at x[i], with
+  /// out.size() == x.size(). Each out[i] is bitwise what a span holding x[i]
+  /// alone gives, whatever the span's length or other points, so callers
+  /// may batch and split points freely.
+  virtual void predict(std::span<const la::Vector> x,
+                       std::span<Prediction> out) const = 0;
+
+  /// Predictive distribution at one encoded point: the span predict over
+  /// {x}. Derived classes bring it into scope with `using`.
+  Prediction predict(const la::Vector& x) const {
+    Prediction p;
+    predict(std::span<const la::Vector>(&x, 1), std::span<Prediction>(&p, 1));
+    return p;
+  }
 
   /// Input dimensionality.
   virtual std::size_t dim() const = 0;

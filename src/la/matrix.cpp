@@ -1,6 +1,7 @@
 #include "la/matrix.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -195,45 +196,154 @@ bool Cholesky::try_factor(const Vector& diag, double jitter) {
   return true;
 }
 
-Vector Cholesky::solve_lower(const Vector& b) const {
-  const std::size_t n = order();
-  if (b.size() != n) throw std::invalid_argument("solve_lower: size mismatch");
-  Vector y(n);
-  // Four rows per sweep over the solved prefix, then each finishes on the
-  // new entries in k order; every y[i] subtracts in sequential k order, as
-  // one row at a time does.
+namespace {
+
+/// Two doubles in one SSE register; arithmetic is lane by lane, with the
+/// same IEEE rounding as the scalar operations.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+/// Forward substitution L y = b in place on one column of the row-major
+/// n x m matrix y (stride m): four rows per sweep over the solved prefix,
+/// then each finishes on the new entries in k order, so every y[i]
+/// subtracts in sequential k order, as one row at a time does.
+void forward_column(const Matrix& l, double* y, std::size_t m) {
+  const std::size_t n = l.rows();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double* l0 = l_.row(i).data();
-    const double* l1 = l_.row(i + 1).data();
-    const double* l2 = l_.row(i + 2).data();
-    const double* l3 = l_.row(i + 3).data();
-    double s0 = b[i], s1 = b[i + 1], s2 = b[i + 2], s3 = b[i + 3];
+    const double* l0 = l.row(i).data();
+    const double* l1 = l.row(i + 1).data();
+    const double* l2 = l.row(i + 2).data();
+    const double* l3 = l.row(i + 3).data();
+    double s0 = y[i * m], s1 = y[(i + 1) * m], s2 = y[(i + 2) * m],
+           s3 = y[(i + 3) * m];
     for (std::size_t k = 0; k < i; ++k) {
-      const double yk = y[k];
+      const double yk = y[k * m];
       s0 -= l0[k] * yk;
       s1 -= l1[k] * yk;
       s2 -= l2[k] * yk;
       s3 -= l3[k] * yk;
     }
-    y[i] = s0 / l0[i];
-    s1 -= l1[i] * y[i];
-    y[i + 1] = s1 / l1[i + 1];
-    s2 -= l2[i] * y[i];
-    s2 -= l2[i + 1] * y[i + 1];
-    y[i + 2] = s2 / l2[i + 2];
-    s3 -= l3[i] * y[i];
-    s3 -= l3[i + 1] * y[i + 1];
-    s3 -= l3[i + 2] * y[i + 2];
-    y[i + 3] = s3 / l3[i + 3];
+    const double y0 = s0 / l0[i];
+    s1 -= l1[i] * y0;
+    const double y1 = s1 / l1[i + 1];
+    s2 -= l2[i] * y0;
+    s2 -= l2[i + 1] * y1;
+    const double y2 = s2 / l2[i + 2];
+    s3 -= l3[i] * y0;
+    s3 -= l3[i + 1] * y1;
+    s3 -= l3[i + 2] * y2;
+    y[i * m] = y0;
+    y[(i + 1) * m] = y1;
+    y[(i + 2) * m] = y2;
+    y[(i + 3) * m] = s3 / l3[i + 3];
   }
   for (; i < n; ++i) {
-    double s = b[i];
-    const auto li = l_.row(i);
-    for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
-    y[i] = s / li[i];
+    double s = y[i * m];
+    const double* li = l.row(i).data();
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k * m];
+    y[i * m] = s / li[i];
   }
+}
+
+/// forward_column on the four adjacent columns starting at y, as a 4 x 4
+/// register tile: four rows by two Pairs of columns, each lane taking the
+/// single column's operations in the single column's order.
+void forward_four_columns(const Matrix& l, double* y, std::size_t m) {
+  const std::size_t n = l.rows();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* l0 = l.row(i).data();
+    const double* l1 = l.row(i + 1).data();
+    const double* l2 = l.row(i + 2).data();
+    const double* l3 = l.row(i + 3).data();
+    double* y0 = y + i * m;
+    double* y1 = y0 + m;
+    double* y2 = y1 + m;
+    double* y3 = y2 + m;
+    Pair s0a = load_pair(y0), s0b = load_pair(y0 + 2);
+    Pair s1a = load_pair(y1), s1b = load_pair(y1 + 2);
+    Pair s2a = load_pair(y2), s2b = load_pair(y2 + 2);
+    Pair s3a = load_pair(y3), s3b = load_pair(y3 + 2);
+    for (std::size_t k = 0; k < i; ++k) {
+      const Pair ka = load_pair(y + k * m), kb = load_pair(y + k * m + 2);
+      const double a0 = l0[k], a1 = l1[k], a2 = l2[k], a3 = l3[k];
+      s0a -= a0 * ka;
+      s0b -= a0 * kb;
+      s1a -= a1 * ka;
+      s1b -= a1 * kb;
+      s2a -= a2 * ka;
+      s2b -= a2 * kb;
+      s3a -= a3 * ka;
+      s3b -= a3 * kb;
+    }
+    s0a /= l0[i];
+    s0b /= l0[i];
+    s1a -= l1[i] * s0a;
+    s1b -= l1[i] * s0b;
+    s1a /= l1[i + 1];
+    s1b /= l1[i + 1];
+    s2a -= l2[i] * s0a;
+    s2b -= l2[i] * s0b;
+    s2a -= l2[i + 1] * s1a;
+    s2b -= l2[i + 1] * s1b;
+    s2a /= l2[i + 2];
+    s2b /= l2[i + 2];
+    s3a -= l3[i] * s0a;
+    s3b -= l3[i] * s0b;
+    s3a -= l3[i + 1] * s1a;
+    s3b -= l3[i + 1] * s1b;
+    s3a -= l3[i + 2] * s2a;
+    s3b -= l3[i + 2] * s2b;
+    s3a /= l3[i + 3];
+    s3b /= l3[i + 3];
+    store_pair(y0, s0a);
+    store_pair(y0 + 2, s0b);
+    store_pair(y1, s1a);
+    store_pair(y1 + 2, s1b);
+    store_pair(y2, s2a);
+    store_pair(y2 + 2, s2b);
+    store_pair(y3, s3a);
+    store_pair(y3 + 2, s3b);
+  }
+  for (; i < n; ++i) {
+    const double* li = l.row(i).data();
+    double* yi = y + i * m;
+    Pair sa = load_pair(yi), sb = load_pair(yi + 2);
+    for (std::size_t k = 0; k < i; ++k) {
+      sa -= li[k] * load_pair(y + k * m);
+      sb -= li[k] * load_pair(y + k * m + 2);
+    }
+    store_pair(yi, sa / li[i]);
+    store_pair(yi + 2, sb / li[i]);
+  }
+}
+
+}  // namespace
+
+Vector Cholesky::solve_lower(const Vector& b) const {
+  if (b.size() != order())
+    throw std::invalid_argument("solve_lower: size mismatch");
+  Vector y(b);
+  forward_column(l_, y.data(), 1);
   return y;
+}
+
+void Cholesky::solve_lower_in_place(Matrix& b) const {
+  if (b.rows() != order())
+    throw std::invalid_argument("solve_lower_in_place: size mismatch");
+  const std::size_t m = b.cols();
+  double* y = b.data().data();
+  std::size_t c = 0;
+  for (; c + 4 <= m; c += 4) forward_four_columns(l_, y + c, m);
+  for (; c < m; ++c) forward_column(l_, y + c, m);
 }
 
 Vector Cholesky::solve_lower_t(const Vector& y) const {

@@ -125,6 +125,11 @@ class Cholesky {
   /// Solves L y = b (forward substitution only).
   Vector solve_lower(const Vector& b) const;
 
+  /// Solves L Y = B in place for an n x m B, one right-hand side per
+  /// column, four columns at a time in a register tile: each column of the
+  /// result is bitwise solve_lower of that column alone.
+  void solve_lower_in_place(Matrix& b) const;
+
   /// Solves L^T x = y (back substitution only).
   Vector solve_lower_t(const Vector& y) const;
 

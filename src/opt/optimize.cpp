@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace gptc::opt {
@@ -13,11 +15,24 @@ void clamp01(la::Vector& x) {
   for (double& v : x) v = std::clamp(v, 0.0, 1.0);
 }
 
-double safe_eval(const ObjectiveFn& f, const la::Vector& x) {
-  const double v = f(x);
-  // Treat non-finite objective values as very bad rather than poisoning the
-  // population.
-  return std::isfinite(v) ? v : std::numeric_limits<double>::max();
+/// f over `points` in contiguous chunks, one per worker of `pool` (one
+/// chunk without a pool), with non-finite values as DBL_MAX so they cannot
+/// poison the population.
+std::vector<double> evaluate(const GenerationFn& f,
+                             const std::vector<la::Vector>& points,
+                             parallel::ThreadPool* pool) {
+  std::vector<double> out(points.size());
+  const std::size_t n = points.size();
+  const std::size_t chunks =
+      std::min(n, std::max<std::size_t>(pool ? pool->size() : 1, 1));
+  parallel::parallel_for(pool, chunks, [&](std::size_t c) {
+    const std::size_t begin = n * c / chunks, end = n * (c + 1) / chunks;
+    f(std::span<const la::Vector>(points).subspan(begin, end - begin),
+      std::span<double>(out).subspan(begin, end - begin));
+  });
+  for (double& v : out)
+    if (!std::isfinite(v)) v = std::numeric_limits<double>::max();
+  return out;
 }
 
 }  // namespace
@@ -44,8 +59,8 @@ Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
   return best;
 }
 
-Result lbfgs(const GradientFn& f, const la::Vector& start,
-             int max_evaluations) {
+Result lbfgs(const ObjectiveFn& f, const GradientFn& gradient,
+             const la::Vector& start, int max_evaluations) {
   const std::size_t d = start.size();
   if (d == 0) throw std::invalid_argument("lbfgs: empty start point");
   constexpr std::size_t kHistory = 6;
@@ -55,18 +70,25 @@ Result lbfgs(const GradientFn& f, const la::Vector& start,
   constexpr double kFailed = std::numeric_limits<double>::max();
 
   Result result;
-  const auto eval = [&](const la::Vector& x, la::Vector& grad) {
+  const auto value = [&](const la::Vector& x) {
     ++result.evaluations;
-    const double v = f(x, grad);
-    if (!std::isfinite(v)) return kFailed;
+    const double v = f(x);
+    return std::isfinite(v) ? v : kFailed;
+  };
+  // The gradient at the last valued point; false if an entry is non-finite.
+  const auto gradient_at_last = [&](la::Vector& grad) {
+    gradient(grad);
     for (double gi : grad)
-      if (!std::isfinite(gi)) return kFailed;
-    return v;
+      if (!std::isfinite(gi)) return false;
+    return true;
   };
   la::Vector g(d), g_next(d), x_next(d), dir(d);
   result.x = start;
-  result.value = eval(result.x, g);
-  if (result.value == kFailed) return result;  // no gradient to follow
+  result.value = value(result.x);
+  if (result.value == kFailed || !gradient_at_last(g)) {
+    result.value = kFailed;
+    return result;  // no gradient to follow
+  }
 
   // Curvature pairs in a ring; `newest` is the most recent slot.
   std::array<la::Vector, kHistory> s, y;
@@ -108,14 +130,16 @@ Result lbfgs(const GradientFn& f, const la::Vector& start,
     }
 
     // Backtracking Armijo search; a failed evaluation always backtracks.
+    // Only an accepted trial pays for its gradient.
     double f_next = kFailed;
     bool accepted = false;
     while (result.evaluations < max_evaluations) {
       for (std::size_t i = 0; i < d; ++i)
         x_next[i] = result.x[i] + step * dir[i];
       if (x_next == result.x) break;  // the step underflowed
-      f_next = eval(x_next, g_next);
-      if (f_next <= result.value + kArmijo * step * slope) {
+      f_next = value(x_next);
+      if (f_next <= result.value + kArmijo * step * slope &&
+          gradient_at_last(g_next)) {
         accepted = true;
         break;
       }
@@ -144,7 +168,7 @@ Result lbfgs(const GradientFn& f, const la::Vector& start,
   return result;
 }
 
-Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
+Result differential_evolution(const GenerationFn& f, std::size_t dim,
                               rng::Rng& rng,
                               const DifferentialEvolutionOptions& options) {
   if (dim == 0)
@@ -171,8 +195,7 @@ Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
     pop.push_back(std::move(x));
   }
   parallel::ThreadPool* pool = options.pool.get();
-  fitness = parallel::parallel_map(
-      pool, pop.size(), [&](std::size_t i) { return safe_eval(f, pop[i]); });
+  fitness = evaluate(f, pop, pool);
   result.evaluations += static_cast<int>(pop.size());
   for (std::size_t i = 0; i < pop.size(); ++i) {
     if (fitness[i] < result.value) {
@@ -183,9 +206,9 @@ Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
 
   // Synchronous (generational) loop: all of a generation's trial vectors
   // are built from the previous generation's population by the calling
-  // thread's RNG, then evaluated — possibly concurrently — and selection is
-  // applied in index order. Evaluation order can therefore never influence
-  // the result.
+  // thread's RNG, then evaluated as one generation — in chunks, possibly
+  // concurrently — and selection is applied in index order. Evaluation
+  // order and chunking can therefore never influence the result.
   std::vector<la::Vector> trials(pop.size(), la::Vector(dim));
   for (int gen = 0; gen < options.generations; ++gen) {
     for (int i = 0; i < pop_size; ++i) {
@@ -209,9 +232,7 @@ Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
         }
       }
     }
-    const std::vector<double> trial_fitness = parallel::parallel_map(
-        pool, trials.size(),
-        [&](std::size_t i) { return safe_eval(f, trials[i]); });
+    const std::vector<double> trial_fitness = evaluate(f, trials, pool);
     result.evaluations += pop_size;
     for (std::size_t i = 0; i < trials.size(); ++i) {
       if (trial_fitness[i] <= fitness[i]) {

@@ -8,7 +8,8 @@
 //   2. Acquisition maximization over the (encoded) unit cube — cheap,
 //      multimodal objective with plateaus from integer/categorical
 //      encoding: differential evolution over random points plus the
-//      incumbent, whose winner is the proposal.
+//      incumbent, whose winner is the proposal, evaluated one generation
+//      at a time so the surrogate can predict a population at once.
 // Plus the space-filling designs used for initial samples and for the
 // Saltelli sensitivity design (Latin hypercube, scrambled Halton).
 #pragma once
@@ -16,6 +17,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "la/matrix.hpp"
 #include "parallel/thread_pool.hpp"
@@ -23,12 +25,18 @@
 
 namespace gptc::opt {
 
-/// Objective for differential evolution: minimize f(x).
+/// Objective value f(x) for L-BFGS to minimize.
 using ObjectiveFn = std::function<double(const la::Vector&)>;
 
-/// Objective with gradient: returns f(x) and writes its gradient into `grad`
-/// (already sized like x).
-using GradientFn = std::function<double(const la::Vector& x, la::Vector& grad)>;
+/// Writes into `grad` (already sized like x) the gradient of f at the point
+/// of the most recent ObjectiveFn call.
+using GradientFn = std::function<void(la::Vector& grad)>;
+
+/// One generation of differential evolution at a time: writes f(x[i]) to
+/// out[i] for every point of the span. out[i] must depend on x[i] alone,
+/// not on the span's other points or its length.
+using GenerationFn =
+    std::function<void(std::span<const la::Vector> x, std::span<double> out)>;
 
 struct Result {
   la::Vector x;
@@ -36,17 +44,20 @@ struct Result {
   int evaluations = 0;
 };
 
-/// Limited-memory BFGS from `start` with a budget of f-and-gradient
-/// evaluations, line-search trials included: a history of 6 curvature
-/// pairs, two-loop recursion and a backtracking (halving) Armijo line
-/// search. The first step, and any step after the history stops giving a
-/// descent direction, is steepest descent of length 1. An evaluation that
-/// returns a non-finite value or gradient, or DBL_MAX (the convention for
-/// a failed likelihood), is never accepted: the line search backtracks past
-/// it. Stops on the budget, on max_i |g_i| < 1e-5, or on a step whose
-/// relative decrease is below 1e-10. Deterministic: no clock, no randomness.
-Result lbfgs(const GradientFn& f, const la::Vector& start,
-             int max_evaluations);
+/// Limited-memory BFGS from `start` with a budget of evaluations of f,
+/// line-search trials included: a history of 6 curvature pairs, two-loop
+/// recursion and a backtracking (halving) Armijo line search. The gradient
+/// is asked for only at the start and at a trial that passes the Armijo
+/// test, right after f at that point; a rejected trial costs f alone, and
+/// gradients are not counted as evaluations. The first step, and any step
+/// after the history stops giving a descent direction, is steepest descent
+/// of length 1. A point where f is non-finite or DBL_MAX (the convention
+/// for a failed likelihood), or where the gradient has a non-finite entry,
+/// is never accepted: the line search backtracks past it. Stops on the
+/// budget, on max_i |g_i| < 1e-5, or on a step whose relative decrease is
+/// below 1e-10. Deterministic: no clock, no randomness.
+Result lbfgs(const ObjectiveFn& f, const GradientFn& gradient,
+             const la::Vector& start, int max_evaluations);
 
 /// Runs `run(i)` for every start index i < num_starts — concurrently on
 /// `pool` when one is given — and returns the best result, with
@@ -64,9 +75,9 @@ struct DifferentialEvolutionOptions {
   /// Additional points injected into the initial population (e.g. the
   /// incumbent best and previously evaluated configurations).
   std::vector<la::Vector> seeds;
-  /// Population evaluations run concurrently on this pool (null = serial).
-  /// The objective must then be thread-safe. Results are bitwise identical
-  /// for any pool size.
+  /// Each generation is split into contiguous chunks, one per pool worker,
+  /// evaluated concurrently (null = one chunk, serially). The objective must
+  /// then be thread-safe. Results are bitwise identical for any pool size.
   std::shared_ptr<parallel::ThreadPool> pool;
 };
 
@@ -74,10 +85,10 @@ struct DifferentialEvolutionOptions {
 ///
 /// Synchronous (generational) variant: every trial vector of a generation
 /// is built from the previous generation's population before any selection
-/// is applied, so the population evaluations are independent and can run in
-/// parallel without changing the result. A non-finite objective value counts
-/// as DBL_MAX, so any finite point beats it.
-Result differential_evolution(const ObjectiveFn& f, std::size_t dim,
+/// is applied, so a whole generation goes to `f` at once, and its chunks
+/// can run in parallel without changing the result. A non-finite objective
+/// value counts as DBL_MAX, so any finite point beats it.
+Result differential_evolution(const GenerationFn& f, std::size_t dim,
                               rng::Rng& rng,
                               const DifferentialEvolutionOptions& options = {});
 

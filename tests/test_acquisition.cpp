@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gp/lcm.hpp"
@@ -134,8 +135,10 @@ TEST_F(AcquisitionSearchTest, DeterministicPerRngState) {
 class FlatSurrogate : public gp::Surrogate {
  public:
   explicit FlatSurrogate(std::size_t dim) : dim_(dim) {}
-  gp::Prediction predict(const la::Vector&) const override {
-    return {1.0, 0.0};
+  using gp::Surrogate::predict;
+  void predict(std::span<const la::Vector>,
+               std::span<gp::Prediction> out) const override {
+    for (gp::Prediction& p : out) p = {1.0, 0.0};
   }
   std::size_t dim() const override { return dim_; }
 
@@ -190,8 +193,9 @@ TEST(AcquisitionSearch, ReturnsDifferentialEvolutionWinner) {
   de.seeds = seeds;
   rng::Rng de_rng = rng.split("acq-de");
   const opt::Result winner = opt::differential_evolution(
-      [&](const la::Vector& p) {
-        return -expected_improvement(model->predict(p), best);
+      [&](std::span<const la::Vector> p, std::span<double> out) {
+        for (std::size_t i = 0; i < p.size(); ++i)
+          out[i] = -expected_improvement(model->predict(p[i]), best);
       },
       2, de_rng, de);
   EXPECT_EQ(x, winner.x);  // exact, element by element

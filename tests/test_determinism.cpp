@@ -5,8 +5,11 @@
 // order into its result (shared RNG, unordered reduction, racy write).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "apps/synthetic.hpp"
@@ -42,15 +45,35 @@ double rastrigin_like(const la::Vector& x) {
 }
 
 TEST(DeterminismTest, DifferentialEvolutionIdenticalAcrossPoolSizes) {
+  // Each generation (and the initial population) reaches the objective as
+  // contiguous chunks, one per pool worker, whose sizes differ by at most
+  // one; the result must not depend on that split.
+  constexpr std::size_t kPopulation = 20;
+  constexpr int kGenerations = 25;
   opt::Result reference;
   bool have_reference = false;
   for (std::size_t n : kPoolSizes) {
     opt::DifferentialEvolutionOptions o;
-    o.population = 20;
-    o.generations = 25;
+    o.population = static_cast<int>(kPopulation);
+    o.generations = kGenerations;
     o.pool = make_pool(n);
+    std::mutex mu;
+    std::vector<std::size_t> chunk_sizes;
+    const auto objective = [&](std::span<const la::Vector> x,
+                               std::span<double> out) {
+      for (std::size_t i = 0; i < x.size(); ++i) out[i] = rastrigin_like(x[i]);
+      const std::lock_guard<std::mutex> lock(mu);
+      chunk_sizes.push_back(x.size());
+    };
     rng::Rng rng(7);  // fresh identically-seeded rng per run
-    const opt::Result r = opt::differential_evolution(rastrigin_like, 4, rng, o);
+    const opt::Result r = opt::differential_evolution(objective, 4, rng, o);
+    const std::size_t chunks = std::max<std::size_t>(n, 1);
+    EXPECT_EQ(chunk_sizes.size(), (kGenerations + 1) * chunks)
+        << "pool size " << n;
+    for (std::size_t size : chunk_sizes) {
+      EXPECT_GE(size, kPopulation / chunks) << "pool size " << n;
+      EXPECT_LE(size, (kPopulation + chunks - 1) / chunks) << "pool size " << n;
+    }
     if (!have_reference) {
       reference = r;
       have_reference = true;
