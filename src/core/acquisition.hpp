@@ -29,9 +29,9 @@ double expected_improvement(const gp::Prediction& p, double best);
 struct AcquisitionOptions {
   int de_population = 24;
   int de_generations = 30;
-  /// DE population evaluations (surrogate predictions) run concurrently on
-  /// this pool (null = serial); the proposed point is bitwise identical for
-  /// any pool size.
+  /// Each DE generation is predicted in contiguous chunks, one per worker
+  /// of this pool, concurrently (null = one chunk, serially); the proposed
+  /// point is bitwise identical for any pool size.
   std::shared_ptr<parallel::ThreadPool> pool;
 };
 
