@@ -41,6 +41,7 @@ int main() {
   const core::TaskHistory samples =
       core::collect_random_samples(problem, task, 60, /*seed=*/11);
 
+  std::vector<crowd::EvalUpload> uploads;
   for (const auto& eval : samples.evals()) {
     crowd::EvalUpload upload;
     upload.task_parameters = problem.task_space.config_to_json(task);
@@ -49,8 +50,9 @@ int main() {
     upload.output = eval.output;
     upload.machine_configuration = machine_config;
     upload.software_configuration = software_config;
-    repo.upload(alice_key, "pdgeqrf", upload);
+    uploads.push_back(std::move(upload));
   }
+  repo.upload_batch(alice_key, "pdgeqrf", uploads);
   std::printf("Alice uploaded %zu evaluations (public).\n",
               repo.num_records("pdgeqrf"));
 

@@ -20,6 +20,7 @@ int main() {
   // with one user's node suffering interference (a 6x runtime spike).
   hpcsim::Allocation alloc{hpcsim::MachineModel::cori_haswell(), 8, 32};
   rng::Rng rng(1);
+  std::vector<crowd::EvalUpload> uploads;
   for (int config = 0; config < 3; ++config) {
     const double true_runtime = 1.0 + 0.8 * config;
     const int repeats = 6;
@@ -33,9 +34,10 @@ int main() {
       if (config == 1 && r == 3) runtime *= 6.0;  // the interference victim
       e.output = runtime;
       e.machine_configuration = alloc.machine.machine_configuration(8);
-      repo.upload(key, "pdgeqrf", e);
+      uploads.push_back(std::move(e));
     }
   }
+  repo.upload_batch(key, "pdgeqrf", uploads);
   std::printf("Uploaded %zu records (3 configurations x 6 repeats).\n",
               repo.num_records("pdgeqrf"));
 

@@ -55,6 +55,10 @@ void TlaStrategy::observe(const la::Vector& x, double y) {
 
 namespace {
 
+/// Initial pseudo-sample count per source for Multitask(PS): a Latin
+/// hypercube of this many points through each source surrogate.
+constexpr std::size_t kPsInitPseudo = 10;
+
 /// The single-task GP's fit options: options.lcm with one latent,
 /// options.max_source_samples as the per-task cap, and at least one
 /// jittered start. A single-task fit is a fresh model every time, so it is
@@ -253,12 +257,10 @@ class MultitaskPsStrategy final : public TlaStrategy {
     // Seed each source's pseudo-sample set from a Latin hypercube through
     // its surrogate.
     rng::Rng lhs_rng = rng.split("ps-init");
-    const auto n0 = static_cast<std::size_t>(
-        std::max(options_.multitask_ps_init_pseudo, 2));
     for (auto& model : source_models_) {
       PseudoSamples p;
-      p.x = opt::latin_hypercube(n0, model->dim(), lhs_rng);
-      p.y.reserve(n0);
+      p.x = opt::latin_hypercube(kPsInitPseudo, model->dim(), lhs_rng);
+      p.y.reserve(kPsInitPseudo);
       for (const auto& x : p.x) p.y.push_back(model->predict(x).mean);
       pseudo_.push_back(std::move(p));
     }

@@ -63,8 +63,6 @@ struct TlaOptions {
   /// means "not specified": static degenerates to equal weights, exactly as
   /// the paper describes HiPerBOt's behaviour.
   la::Vector static_weights;
-  /// Initial pseudo-sample count per source for Multitask(PS).
-  int multitask_ps_init_pseudo = 10;
   /// Cap on samples used per single-task GP fit: the source surrogates
   /// (weighted-sum, stacking, PS, first-eval model) and the target fits
   /// (NoTLA, the WeightedSum target, Stacking's target layer) alike. GP

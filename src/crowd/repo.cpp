@@ -59,6 +59,27 @@ EvalUpload EvalUpload::from_json(const Json& r) {
   return e;
 }
 
+Json EvalUpload::to_json() const {
+  Json r = Json::object();
+  r["task_parameters"] = task_parameters;
+  r["tuning_parameters"] = tuning_parameters;
+  r["output_name"] = output_name;
+  r["output"] = std::isnan(output) ? Json(nullptr) : Json(output);
+  r["machine_configuration"] = machine_configuration;
+  r["software_configuration"] = software_configuration;
+  r["accessibility"] = accessibility.to_json();
+  return r;
+}
+
+double stored_output(const Json& record) {
+  const Json* output = db::lookup_path(record, "output");
+  if (!output || !output->is_object() || output->size() != 1)
+    return std::numeric_limits<double>::quiet_NaN();
+  const Json& v = output->as_object().begin()->second;
+  return v.is_number() ? v.as_double()
+                       : std::numeric_limits<double>::quiet_NaN();
+}
+
 SharedRepo::SharedRepo(std::uint64_t seed)
     : key_rng_(rng::splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {
   seed_alias_tables();
@@ -189,20 +210,19 @@ std::string SharedRepo::issue_api_key(const std::string& username) {
   return key;
 }
 
-std::optional<std::string> SharedRepo::authenticate(
+std::optional<AuthedUser> SharedRepo::authenticate_user(
     const std::string& api_key) const {
   const auto* keys = store_.find_collection("api_keys");
   if (!keys) return std::nullopt;
   auto key = find_key_doc(*keys, api_key);
   if (!key) return std::nullopt;
-  return std::move(key->username);
+  return AuthedUser(std::move(key->username));
 }
 
-std::optional<AuthedUser> SharedRepo::authenticate_user(
-    const std::string& api_key) const {
-  auto user = authenticate(api_key);
-  if (!user) return std::nullopt;
-  return AuthedUser(std::move(*user));
+AuthedUser SharedRepo::require(const std::string& api_key) const {
+  auto user = authenticate_user(api_key);
+  if (!user) throw std::invalid_argument("invalid API key");
+  return std::move(*user);
 }
 
 std::uint64_t SharedRepo::auth_hash_invocations() {
@@ -228,11 +248,6 @@ std::size_t SharedRepo::num_users() const {
 void SharedRepo::add_machine_alias(const std::string& canonical,
                                    const std::vector<std::string>& aliases) {
   add_alias("machines", canonical, aliases);
-}
-
-void SharedRepo::add_software_alias(const std::string& canonical,
-                                    const std::vector<std::string>& aliases) {
-  add_alias("software", canonical, aliases);
 }
 
 void SharedRepo::add_alias(const char* table, const std::string& canonical,
@@ -290,12 +305,6 @@ std::string SharedRepo::normalize_machine(const std::string& tag) const {
 
 std::string SharedRepo::normalize_software(const std::string& tag) const {
   return normalize_with(store_.find_collection("software"), tag);
-}
-
-std::string SharedRepo::require_user(const std::string& api_key) const {
-  const auto user = authenticate(api_key);
-  if (!user) throw std::invalid_argument("invalid API key");
-  return *user;
 }
 
 json::Json SharedRepo::build_record(const std::string& user,
@@ -390,21 +399,10 @@ std::map<std::string, std::vector<Json>> SharedRepo::missing_catalog_docs(
   return docs;
 }
 
-std::int64_t SharedRepo::upload(const std::string& api_key,
-                                const std::string& problem_name,
-                                const EvalUpload& e) {
-  const std::string user = require_user(api_key);
-  std::vector<Json> records;
-  records.push_back(build_record(user, problem_name, e));
-  return upload_records(user, problem_name, std::move(records)).ids[0];
-}
-
 SharedRepo::UploadReceipt SharedRepo::upload_batch(
     const std::string& api_key, const std::string& problem_name,
     const std::vector<EvalUpload>& evals) {
-  const auto user = authenticate_user(api_key);
-  if (!user) throw std::invalid_argument("invalid API key");
-  return upload_batch(*user, problem_name, evals);
+  return upload_batch(require(api_key), problem_name, evals);
 }
 
 SharedRepo::UploadReceipt SharedRepo::upload_batch(
@@ -494,11 +492,28 @@ bool SharedRepo::record_visible(const Json& record,
   return false;
 }
 
+SharedRepo::MetaNames SharedRepo::normalized_filter_names(
+    const MetaDescription& meta) const {
+  MetaNames names;
+  for (const auto& f : meta.machine_filters)
+    names.machines.push_back(normalize_machine(f.machine_name));
+  for (const auto& f : meta.software_filters)
+    names.software.push_back(normalize_software(f.name));
+  return names;
+}
+
 bool SharedRepo::record_matches_meta(const Json& record,
-                                     const MetaDescription& meta) const {
+                                     const MetaDescription& meta,
+                                     const MetaNames& names) const {
   // Problem name.
   if (record.get_or("problem", Json("")).as_string() !=
       meta.tuning_problem_name)
+    return false;
+
+  // Objective: the output must hold meta.output_name, with a value or null
+  // (a failed run); records of another objective belong to another model.
+  const Json* output = db::lookup_path(record, "output");
+  if (!output || !output->is_object() || !output->contains(meta.output_name))
     return false;
 
   // problem_space ranges: every declared task/tuning parameter must be
@@ -519,13 +534,13 @@ bool SharedRepo::record_matches_meta(const Json& record,
   // Machine filters (any-of).
   if (!meta.machine_filters.empty()) {
     const Json* mc = db::lookup_path(record, "machine_configuration");
+    if (!mc) return false;
+    const std::string machine =
+        normalize_machine(mc->get_or("machine_name", Json("")).as_string());
     bool any = false;
-    for (const auto& f : meta.machine_filters) {
-      if (!mc) break;
-      if (normalize_machine(
-              mc->get_or("machine_name", Json("")).as_string()) !=
-          normalize_machine(f.machine_name))
-        continue;
+    for (std::size_t i = 0; i < meta.machine_filters.size(); ++i) {
+      const MachineFilter& f = meta.machine_filters[i];
+      if (machine != names.machines[i]) continue;
       if (!f.partition.empty()) {
         const Json partition = mc->get_or("partition", Json(""));
         if (!partition.is_string() ||
@@ -552,10 +567,11 @@ bool SharedRepo::record_matches_meta(const Json& record,
   }
 
   // Software filters (all must be satisfied).
-  for (const auto& f : meta.software_filters) {
+  for (std::size_t i = 0; i < meta.software_filters.size(); ++i) {
+    const SoftwareFilter& f = meta.software_filters[i];
     const Json* sc = db::lookup_path(record, "software_configuration");
     if (!sc) return false;
-    const std::string canon = normalize_software(f.name);
+    const std::string& canon = names.software[i];
     if (!sc->contains(canon)) return false;
     std::vector<int> version;
     const Json& spec = sc->at(canon);
@@ -585,10 +601,11 @@ bool SharedRepo::record_matches_meta(const Json& record,
 
 std::vector<Json> SharedRepo::query_function_evaluations(
     const MetaDescription& meta) const {
-  const std::string user = require_user(meta.api_key);
+  const AuthedUser user = require(meta.api_key);
   const auto* evals = store_.find_collection("func_eval");
   std::vector<Json> out;
   if (!evals) return out;
+  const MetaNames names = normalized_filter_names(meta);
   // Partition by problem name through the store's query planner: with the
   // default indexes declared this is an index lookup instead of a full
   // scan, and results come back in insertion order either way, so they
@@ -597,19 +614,12 @@ std::vector<Json> SharedRepo::query_function_evaluations(
   Json q = Json::object();
   q["problem"] = meta.tuning_problem_name;
   evals->visit(q, [&](const Json& record) {
-    if (record_visible(record, user) && record_matches_meta(record, meta))
+    if (record_visible(record, user.username()) &&
+        record_matches_meta(record, meta, names))
       out.push_back(record);
     return true;
   });
   return out;
-}
-
-std::vector<Json> SharedRepo::query_where(const std::string& api_key,
-                                          const std::string& problem_name,
-                                          std::string_view where_clause) const {
-  const auto user = authenticate_user(api_key);
-  if (!user) throw std::invalid_argument("invalid API key");
-  return query_where(*user, problem_name, where_clause);
 }
 
 std::vector<Json> SharedRepo::query_where(const AuthedUser& user,
@@ -651,14 +661,6 @@ Json SharedRepo::planned_where(const std::string& problem_name,
   return q;
 }
 
-Json SharedRepo::explain_where(const std::string& api_key,
-                               const std::string& problem_name,
-                               std::string_view where_clause) const {
-  const auto user = authenticate_user(api_key);
-  if (!user) throw std::invalid_argument("invalid API key");
-  return explain_where(*user, problem_name, where_clause);
-}
-
 Json SharedRepo::explain_where(const AuthedUser&,
                                const std::string& problem_name,
                                std::string_view where_clause) const {
@@ -682,42 +684,44 @@ std::size_t SharedRepo::num_records(const std::string& problem_name) const {
   return evals->count(q);
 }
 
-core::TrainingData SharedRepo::to_training_data(
-    const std::vector<Json>& records, const space::Space& param_space) const {
-  std::vector<la::Vector> rows;
-  std::vector<double> ys;
-  for (const auto& r : records) {
-    const Json* tuning = db::lookup_path(r, "tuning_parameters");
-    const Json* output = db::lookup_path(r, "output");
-    if (!tuning || !output || !output->is_object()) continue;
-    // First numeric output field is the objective.
-    double y = std::numeric_limits<double>::quiet_NaN();
-    for (const auto& [name, v] : output->as_object()) {
-      (void)name;
-      if (v.is_number()) {
-        y = v.as_double();
-        break;
-      }
-    }
-    if (!std::isfinite(y)) continue;
-    try {
-      rows.push_back(param_space.encode(param_space.config_from_json(*tuning)));
-    } catch (const json::JsonError&) {
-      continue;  // record lacks one of the queried parameters
-    }
-    ys.push_back(y);
+namespace {
+
+/// A queried record as the analytics read it: its task and tuning
+/// configurations over the meta's spaces and its objective (NaN for a
+/// failed run).
+struct DecodedRecord {
+  const Json* task;  // the record's task_parameters, the grouping key
+  space::Config task_config, tuning_config;
+  double y;
+};
+
+/// nullopt when the record lacks a task/tuning parameter the meta declares.
+std::optional<DecodedRecord> decode_record(const Json& record,
+                                           const MetaDescription& meta) {
+  const Json* task = db::lookup_path(record, "task_parameters");
+  const Json* tuning = db::lookup_path(record, "tuning_parameters");
+  if (!task || !tuning) return std::nullopt;
+  try {
+    return DecodedRecord{task, meta.input_space.config_from_json(*task),
+                         meta.parameter_space.config_from_json(*tuning),
+                         stored_output(record)};
+  } catch (const json::JsonError&) {
+    return std::nullopt;
   }
-  core::TrainingData d;
-  d.x = la::Matrix::from_rows(rows);
-  d.y = la::Vector(ys.begin(), ys.end());
-  return d;
 }
+
+}  // namespace
 
 gp::SurrogatePtr SharedRepo::query_surrogate_model(
     const MetaDescription& meta, std::uint64_t seed,
     const gp::LcmOptions& options) const {
-  const auto records = query_function_evaluations(meta);
-  const core::TrainingData data = to_training_data(records, meta.parameter_space);
+  // One ungrouped history in insertion order: valid_data keeps the finite
+  // outputs and encodes their configurations.
+  core::TaskHistory all;
+  for (const auto& r : query_function_evaluations(meta))
+    if (auto d = decode_record(r, meta))
+      all.add(std::move(d->tuning_config), d->y);
+  const core::TrainingData data = all.valid_data(meta.parameter_space);
   if (data.size() < 2)
     throw std::runtime_error(
         "query_surrogate_model: fewer than 2 usable records match");
@@ -748,40 +752,19 @@ VariabilityReport SharedRepo::query_variability_report(
 
 std::vector<core::TaskHistory> SharedRepo::query_source_histories(
     const MetaDescription& meta) const {
-  const auto records = query_function_evaluations(meta);
   // Group records by their task-parameter JSON (canonical dump).
   std::vector<std::pair<std::string, core::TaskHistory>> groups;
-  for (const auto& r : records) {
-    const Json* task = db::lookup_path(r, "task_parameters");
-    const Json* tuning = db::lookup_path(r, "tuning_parameters");
-    const Json* output = db::lookup_path(r, "output");
-    if (!task || !tuning || !output) continue;
-
-    space::Config task_config, tuning_config;
-    try {
-      task_config = meta.input_space.config_from_json(*task);
-      tuning_config = meta.parameter_space.config_from_json(*tuning);
-    } catch (const json::JsonError&) {
-      continue;
-    }
-    double y = std::numeric_limits<double>::quiet_NaN();
-    if (output->is_object()) {
-      for (const auto& [name, v] : output->as_object()) {
-        (void)name;
-        if (v.is_number()) {
-          y = v.as_double();
-          break;
-        }
-      }
-    }
-    const std::string key = task->dump();
+  for (const auto& r : query_function_evaluations(meta)) {
+    auto d = decode_record(r, meta);
+    if (!d) continue;
+    const std::string key = d->task->dump();
     auto it = std::find_if(groups.begin(), groups.end(),
                            [&](const auto& g) { return g.first == key; });
     if (it == groups.end()) {
-      groups.emplace_back(key, core::TaskHistory(task_config));
+      groups.emplace_back(key, core::TaskHistory(std::move(d->task_config)));
       it = std::prev(groups.end());
     }
-    it->second.add(std::move(tuning_config), y);
+    it->second.add(std::move(d->tuning_config), d->y);
   }
   std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
     return a.second.num_valid() > b.second.num_valid();
@@ -828,12 +811,6 @@ void SharedRepo::declare_default_indexes() {
     return true;
   });
   for (const auto& path : paths) evals.create_index(path);
-}
-
-void SharedRepo::declare_task_parameter_index(
-    const std::string& parameter_name) {
-  store_.collection("func_eval").create_index("task_parameters." +
-                                              parameter_name);
 }
 
 }  // namespace gptc::crowd

@@ -62,7 +62,17 @@ struct EvalUpload {
   /// Missing fields take defaults: output NaN (a failed run), output_name
   /// "runtime", accessibility public, configurations empty objects.
   static EvalUpload from_json(const json::Json& r);
+
+  /// Encodes the upload in that same shape (a NaN output as null): the
+  /// inverse of from_json, used by the client's upload request.
+  json::Json to_json() const;
 };
+
+/// The objective value of a stored func_eval record. SharedRepo stores the
+/// output as {<output_name>: value | null}, exactly one field; this reads
+/// that field's value, NaN when it is null or not a number (a failed run)
+/// or when the output is not such a one-field object.
+double stored_output(const json::Json& record);
 
 class SharedRepo;
 
@@ -96,11 +106,8 @@ class SharedRepo {
   /// Issues an additional API key for an existing user.
   std::string issue_api_key(const std::string& username);
 
-  /// Resolves an API key to a username, or nullopt if invalid/revoked.
-  std::optional<std::string> authenticate(const std::string& api_key) const;
-
-  /// Resolves an API key to an AuthedUser proof token, or nullopt if
-  /// invalid/revoked. The token drives the authenticated overloads of
+  /// Resolves an API key to an AuthedUser proof token (carrying the
+  /// username), or nullopt if invalid/revoked. The token drives
   /// upload_batch/query_where/explain_where without re-hashing the key:
   /// the server authenticates each request once and reuses the proof.
   std::optional<AuthedUser> authenticate_user(const std::string& api_key) const;
@@ -119,8 +126,6 @@ class SharedRepo {
 
   void add_machine_alias(const std::string& canonical,
                          const std::vector<std::string>& aliases);
-  void add_software_alias(const std::string& canonical,
-                          const std::vector<std::string>& aliases);
 
   /// Maps a user-provided tag to its canonical name (case-insensitive over
   /// the alias table); unknown tags pass through unchanged.
@@ -128,16 +133,6 @@ class SharedRepo {
   std::string normalize_software(const std::string& tag) const;
 
   // --- Function evaluations -------------------------------------------------
-
-  /// Uploads one evaluation under the given problem name. Machine/software
-  /// names inside the configurations are normalized. Returns the record id.
-  /// The first upload naming a problem (or a machine) also writes its
-  /// catalog descriptor — problem + machine + run land as ONE logical
-  /// commit (DocumentStore::insert_atomic), so a crash can never leave a
-  /// run whose problem or machine entry is missing, or vice versa.
-  /// Throws std::invalid_argument on a bad API key.
-  std::int64_t upload(const std::string& api_key,
-                      const std::string& problem_name, const EvalUpload& e);
 
   /// Receipt for an upload batch: the func_eval record ids plus the
   /// durability ticket (the engine WAL the commit frame lives in and its
@@ -147,12 +142,15 @@ class SharedRepo {
     db::engine::CommitTicket ticket;
   };
 
-  /// Uploads a batch of evaluations atomically: the records (and any
-  /// first-seen problem/machine catalog descriptors) are covered by one
-  /// WAL commit frame and applied under the affected shard writer locks,
-  /// so concurrent readers and crash recovery observe either none or all
-  /// of the batch (the server's multi-record upload endpoint).
-  /// Authentication happens once for the whole batch.
+  /// Uploads a batch of evaluations under the given problem name.
+  /// Machine/software names inside the configurations are normalized. The
+  /// batch is atomic: the records (and any first-seen problem/machine
+  /// catalog descriptors) are covered by one WAL commit frame and applied
+  /// under the affected shard writer locks, so concurrent readers and
+  /// crash recovery observe either none or all of the batch, and a run
+  /// never lands without its problem or machine entry. Authentication
+  /// happens once for the whole batch; throws std::invalid_argument on a
+  /// bad API key.
   UploadReceipt upload_batch(const std::string& api_key,
                              const std::string& problem_name,
                              const std::vector<EvalUpload>& evals);
@@ -170,22 +168,21 @@ class SharedRepo {
   void wait_uploads_durable(const UploadReceipt& receipt);
 
   /// All records matching a meta description and visible to its API key's
-  /// user. This is the paper's QueryFunctionEvaluations.
+  /// user, in insertion order. This is the paper's QueryFunctionEvaluations.
+  /// A record matches when it belongs to the problem, holds every declared
+  /// task/tuning parameter inside its range, passes the machine, software
+  /// and user filters, and its output holds meta.output_name (null for a
+  /// failed run); a record of another objective never matches. Throws
+  /// std::invalid_argument on a bad API key.
   std::vector<json::Json> query_function_evaluations(
       const MetaDescription& meta) const;
 
   /// SQL-like programmable query (paper Sec. II-B): returns the records of
-  /// `problem_name` visible to the API key's user that satisfy the WHERE
-  /// clause, e.g.
-  ///   repo.query_where(key, "pdgeqrf",
+  /// `problem_name` visible to the user that satisfy the WHERE clause, e.g.
+  ///   repo.query_where(*repo.authenticate_user(key), "pdgeqrf",
   ///       "tuning_parameters.mb >= 4 AND "
   ///       "machine_configuration.machine_name = 'Cori'");
   /// Throws QueryParseError on bad syntax.
-  std::vector<json::Json> query_where(const std::string& api_key,
-                                      const std::string& problem_name,
-                                      std::string_view where_clause) const;
-
-  /// Authenticated-caller form of query_where: no key hash is paid here.
   std::vector<json::Json> query_where(const AuthedUser& user,
                                       const std::string& problem_name,
                                       std::string_view where_clause) const;
@@ -204,11 +201,6 @@ class SharedRepo {
   /// with its selectivity estimate, which were applied, candidate counts).
   /// Requires the same authentication; throws QueryParseError on bad
   /// syntax.
-  json::Json explain_where(const std::string& api_key,
-                           const std::string& problem_name,
-                           std::string_view where_clause) const;
-
-  /// Authenticated-caller form of explain_where: no key hash is paid here.
   json::Json explain_where(const AuthedUser& user,
                            const std::string& problem_name,
                            std::string_view where_clause) const;
@@ -218,10 +210,10 @@ class SharedRepo {
 
   // --- Analytics utilities (Sec. IV-B) --------------------------------------
 
-  /// Fits a single-task GP (a one-task LCM) to the queried records over
-  /// meta.parameter_space; more than options.max_samples_per_task records
-  /// are randomly subsampled. Throws std::runtime_error if fewer than 2
-  /// usable records match.
+  /// Fits a single-task GP (a one-task LCM) to the queried records' finite
+  /// outputs over meta.parameter_space, in insertion order; more than
+  /// options.max_samples_per_task records are randomly subsampled. Throws
+  /// std::runtime_error if fewer than 2 usable records match.
   gp::SurrogatePtr query_surrogate_model(
       const MetaDescription& meta, std::uint64_t seed = 0,
       const gp::LcmOptions& options = {}) const;
@@ -244,8 +236,9 @@ class SharedRepo {
       const VariabilityOptions& options = {}) const;
 
   /// Groups queried records into per-task histories for the Tuner's TLA
-  /// source input: one TaskHistory per distinct task-parameter combination,
-  /// ordered by descending sample count.
+  /// source input: one TaskHistory per distinct task-parameter combination
+  /// (failed runs included, as NaN), ordered by descending count of
+  /// successful runs.
   std::vector<core::TaskHistory> query_source_histories(
       const MetaDescription& meta) const;
 
@@ -269,10 +262,6 @@ class SharedRepo {
   /// are found.
   void declare_default_indexes();
 
-  /// Declares an index on one task parameter ("task_parameters.<name>") for
-  /// meta queries that range over task sizes within a problem partition.
-  void declare_task_parameter_index(const std::string& parameter_name);
-
   /// Fsync pending WAL batches / force snapshot + compaction. No-ops on an
   /// in-memory repo.
   void sync() { store_.sync(); }
@@ -292,11 +281,18 @@ class SharedRepo {
                           const EvalUpload& e) const;
   bool record_visible(const json::Json& record,
                       const std::string& username) const;
+  /// A meta description's filter names, normalized once per query.
+  struct MetaNames {
+    std::vector<std::string> machines;  // one per meta.machine_filters
+    std::vector<std::string> software;  // one per meta.software_filters
+  };
+  MetaNames normalized_filter_names(const MetaDescription& meta) const;
   bool record_matches_meta(const json::Json& record,
-                           const MetaDescription& meta) const;
-  std::string require_user(const std::string& api_key) const;
-  core::TrainingData to_training_data(const std::vector<json::Json>& records,
-                                      const space::Space& param_space) const;
+                           const MetaDescription& meta,
+                           const MetaNames& names) const;
+  /// The one API-key check of the key-taking entry points: throws
+  /// std::invalid_argument("invalid API key") when authenticate_user fails.
+  AuthedUser require(const std::string& api_key) const;
   /// Catalog descriptors (problems / machine_catalog docs) this upload
   /// would introduce — empty when everything is already known.
   std::map<std::string, std::vector<json::Json>> missing_catalog_docs(

@@ -5,9 +5,17 @@
 #include <map>
 #include <sstream>
 
-#include "db/document_store.hpp"
+#include "crowd/repo.hpp"
 
 namespace gptc::crowd {
+
+namespace {
+
+/// Modified z-score above which a record is an outlier (the textbook
+/// Iglewicz–Hoaglin threshold).
+constexpr double kOutlierZ = 3.5;
+
+}  // namespace
 
 double median_of(std::vector<double> values) {
   if (values.empty()) return 0.0;
@@ -56,7 +64,7 @@ std::string VariabilityReport::summary() const {
   os << groups.size() << " repeated-measurement group(s), "
      << noisy_groups().size() << " noisy (relative MAD > "
      << options.noisy_relative_mad << "), " << total_outliers()
-     << " outlier record(s) (|z| > " << options.outlier_z << ")";
+     << " outlier record(s) (|z| > " << kOutlierZ << ")";
   return os.str();
 }
 
@@ -70,16 +78,7 @@ VariabilityReport detect_variability(const std::vector<json::Json>& records,
   };
   std::map<std::string, std::vector<Entry>> by_key;
   for (const auto& r : records) {
-    const json::Json* output = db::lookup_path(r, "output");
-    if (!output || !output->is_object()) continue;
-    double y = std::numeric_limits<double>::quiet_NaN();
-    for (const auto& [name, v] : output->as_object()) {
-      (void)name;
-      if (v.is_number()) {
-        y = v.as_double();
-        break;
-      }
-    }
+    const double y = stored_output(r);
     if (!std::isfinite(y)) continue;  // failures are not variability
 
     json::Json key = json::Json::object();
@@ -110,7 +109,7 @@ VariabilityReport detect_variability(const std::vector<json::Json>& records,
       for (std::size_t i = 0; i < g.outputs.size(); ++i) {
         // Iglewicz–Hoaglin modified z-score.
         const double z = 0.6745 * (g.outputs[i] - g.median) / g.mad;
-        if (std::abs(z) > options.outlier_z) g.outliers.push_back(i);
+        if (std::abs(z) > kOutlierZ) g.outliers.push_back(i);
       }
     }
     report.groups.push_back(std::move(g));

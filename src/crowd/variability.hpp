@@ -12,7 +12,7 @@
 // statistics per group (median, median absolute deviation, coefficient of
 // variation) and flags
 //   * outlier records (modified z-score |0.6745 (x - median) / MAD| above
-//     a threshold — the standard Iglewicz–Hoaglin rule), and
+//     3.5 — the standard Iglewicz–Hoaglin rule), and
 //   * noisy configurations (relative dispersion above a threshold),
 // so tuners can drop or down-weight suspect samples before model fitting.
 #pragma once
@@ -25,9 +25,6 @@
 namespace gptc::crowd {
 
 struct VariabilityOptions {
-  /// Modified z-score above which a record is an outlier (3.5 is the
-  /// textbook default).
-  double outlier_z = 3.5;
   /// Groups with MAD/median above this are "noisy configurations".
   double noisy_relative_mad = 0.05;
   /// Ignore groups with fewer repeated measurements than this.
@@ -73,7 +70,9 @@ double mad_of(const std::vector<double>& values, double median);
 
 /// Analyzes function-evaluation records (the schema SharedRepo stores):
 /// groups by (task_parameters, tuning_parameters, machine_configuration,
-/// software_configuration), skipping failed (null-output) records.
+/// software_configuration), skipping failed (null-output) records. Each
+/// record's value is its stored_output(); the records should share one
+/// objective, as SharedRepo::query_variability_report's do.
 VariabilityReport detect_variability(const std::vector<json::Json>& records,
                                      const VariabilityOptions& options = {});
 

@@ -1,16 +1,20 @@
 #include "net/client.hpp"
 
-#include <cmath>
 #include <utility>
 
 namespace gptc::net {
 
+namespace {
+
+constexpr std::size_t kMaxResponseBytes = 64u << 20;
+
+}  // namespace
+
 CrowdClient::CrowdClient(const std::string& host, std::uint16_t port,
-                         ClientOptions options)
-    : opts_(options) {
+                         ClientOptions options) {
   try {
-    sock_ = tcp_connect(host, port, opts_.recv_timeout_ms,
-                        opts_.send_timeout_ms);
+    sock_ = tcp_connect(host, port, options.recv_timeout_ms,
+                        options.send_timeout_ms);
   } catch (const std::exception& e) {
     throw TransportError(e.what());
   }
@@ -28,8 +32,8 @@ json::Json CrowdClient::call(const json::Json& request) {
   if (st != IoStatus::Ok) throw TransportError("connection closed");
   const DecodedHeader h = decode_header(header);
   if (h.error) throw TransportError("malformed response header");
-  if (h.payload_size > opts_.max_response_bytes) {
-    throw TransportError("response exceeds max_response_bytes");
+  if (h.payload_size > kMaxResponseBytes) {
+    throw TransportError("response exceeds 64 MiB");
   }
   std::string body(h.payload_size, '\0');
   if (h.payload_size > 0) {
@@ -76,7 +80,7 @@ std::vector<std::int64_t> CrowdClient::upload(
     const std::vector<crowd::EvalUpload>& evals) {
   json::Json records = json::Json::array();
   for (const crowd::EvalUpload& e : evals) {
-    records.as_array().push_back(eval_to_json(e));
+    records.as_array().push_back(e.to_json());
   }
   json::Json req = json::Json::object();
   req["op"] = "upload";
@@ -118,19 +122,6 @@ json::Json CrowdClient::explain(const std::string& api_key,
   req["problem"] = problem;
   req["where"] = where;
   return call(req);
-}
-
-json::Json eval_to_json(const crowd::EvalUpload& e) {
-  json::Json r = json::Json::object();
-  r["task_parameters"] = e.task_parameters;
-  r["tuning_parameters"] = e.tuning_parameters;
-  r["output_name"] = e.output_name;
-  r["output"] = std::isnan(e.output) ? json::Json(nullptr)
-                                     : json::Json(e.output);
-  r["machine_configuration"] = e.machine_configuration;
-  r["software_configuration"] = e.software_configuration;
-  r["accessibility"] = e.accessibility.to_json();
-  return r;
 }
 
 }  // namespace gptc::net

@@ -42,7 +42,6 @@ class TransportError : public std::runtime_error {
 struct ClientOptions {
   std::uint32_t recv_timeout_ms = 30'000;  // 0 = no deadline
   std::uint32_t send_timeout_ms = 30'000;
-  std::size_t max_response_bytes = 64u << 20;
 };
 
 class CrowdClient {
@@ -53,7 +52,8 @@ class CrowdClient {
 
   /// One request/response round trip. Returns the "result" payload of a
   /// successful response; throws RpcError on a typed server error and
-  /// TransportError when the connection breaks.
+  /// TransportError when the connection breaks or the response frame
+  /// announces more than 64 MiB (before any of the payload is read).
   json::Json call(const json::Json& request);
 
   // --- Typed endpoint wrappers ---------------------------------------------
@@ -80,11 +80,6 @@ class CrowdClient {
 
  private:
   Socket sock_;
-  ClientOptions opts_;
 };
-
-/// Serializes one EvalUpload into its wire-record form (the inverse of
-/// the server's record mapping; shared with crowdctl --remote).
-json::Json eval_to_json(const crowd::EvalUpload& e);
 
 }  // namespace gptc::net

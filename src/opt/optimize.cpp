@@ -11,6 +11,11 @@ namespace gptc::opt {
 
 namespace {
 
+/// Differential evolution's rand/1/bin constants: the per-coordinate
+/// crossover rate and the weight of the difference vector.
+constexpr double kCrossover = 0.8;
+constexpr double kDifferentialWeight = 0.6;
+
 void clamp01(la::Vector& x) {
   for (double& v : x) v = std::clamp(v, 0.0, 1.0);
 }
@@ -221,9 +226,9 @@ Result differential_evolution(const GenerationFn& f, std::size_t dim,
       const auto jrand =
           static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(dim) - 1));
       for (std::size_t j = 0; j < dim; ++j) {
-        if (j == jrand || rng.uniform() < options.crossover) {
+        if (j == jrand || rng.uniform() < kCrossover) {
           trial[j] = pop[static_cast<std::size_t>(a)][j] +
-                     options.differential_weight *
+                     kDifferentialWeight *
                          (pop[static_cast<std::size_t>(b)][j] -
                           pop[static_cast<std::size_t>(c)][j]);
           trial[j] = std::clamp(trial[j], 0.0, 1.0);

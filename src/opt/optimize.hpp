@@ -70,8 +70,6 @@ Result multistart(parallel::ThreadPool* pool, std::size_t num_starts,
 struct DifferentialEvolutionOptions {
   int population = 32;
   int generations = 40;
-  double crossover = 0.8;
-  double differential_weight = 0.6;
   /// Additional points injected into the initial population (e.g. the
   /// incumbent best and previously evaluated configurations).
   std::vector<la::Vector> seeds;
@@ -81,7 +79,8 @@ struct DifferentialEvolutionOptions {
   std::shared_ptr<parallel::ThreadPool> pool;
 };
 
-/// Differential evolution (rand/1/bin) over the unit cube [0,1]^d.
+/// Differential evolution (rand/1/bin) over the unit cube [0,1]^d, with
+/// crossover rate 0.8 and differential weight 0.6.
 ///
 /// Synchronous (generational) variant: every trial vector of a generation
 /// is built from the previous generation's population before any selection

@@ -44,6 +44,9 @@ std::string SobolResult::to_table() const {
 
 namespace {
 
+/// z-score of the reported confidence radius (~95%).
+constexpr double kZScore = 1.96;
+
 struct SaltelliEvaluations {
   la::Vector f_a;                  // N
   la::Vector f_b;                  // N
@@ -154,8 +157,8 @@ SobolResult analyze_impl(const CubeFn& f, std::size_t dim,
     const auto nb = static_cast<double>(options.bootstrap);
     const double s1_var = std::max(s1_sum2 / nb - (s1_sum / nb) * (s1_sum / nb), 0.0);
     const double st_var = std::max(st_sum2 / nb - (st_sum / nb) * (st_sum / nb), 0.0);
-    result.s1_conf[i] = options.z_score * std::sqrt(s1_var);
-    result.st_conf[i] = options.z_score * std::sqrt(st_var);
+    result.s1_conf[i] = kZScore * std::sqrt(s1_var);
+    result.st_conf[i] = kZScore * std::sqrt(st_var);
   }
   return result;
 }

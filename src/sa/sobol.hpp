@@ -30,8 +30,6 @@ struct SobolOptions {
   std::size_t base_samples = 512;
   /// Bootstrap resamples for the confidence intervals.
   int bootstrap = 100;
-  /// z-score of the reported confidence radius (1.96 ~ 95%).
-  double z_score = 1.96;
   /// Saltelli-design rows (the N * (dim + 2) model evaluations) run
   /// concurrently on this pool (null = serial). The analyzed function must
   /// then be thread-safe — surrogate predictions are; arbitrary CubeFns
@@ -44,7 +42,7 @@ struct SobolOptions {
 struct SobolResult {
   std::vector<std::string> names;
   la::Vector s1;        // first-order (main effect) index
-  la::Vector s1_conf;   // bootstrap confidence radius
+  la::Vector s1_conf;   // bootstrap 95% confidence radius (1.96 sigma)
   la::Vector st;        // total-effect index
   la::Vector st_conf;
 

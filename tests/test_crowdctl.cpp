@@ -118,6 +118,39 @@ TEST(Crowdctl, StateSurvivesEachProcess) {
       << r.output;
 }
 
+TEST(Crowdctl, UploadIsAllOrNothing) {
+  // Every record is decoded before the one batch goes down, so a malformed
+  // second record leaves the first unstored too, as over --remote.
+  TempDir dir("gptc_crowdctl_atomic_upload");
+  const fs::path repo = dir.path() / "repo";
+  const fs::path records = dir.path() / "records.json";
+  std::ofstream(records)
+      << R"([{"task_parameters": {"m": 1000}, "tuning_parameters": {"mb": 4},)"
+      << R"( "output": 1.5},)"
+      << R"( {"task_parameters": {"m": 1000}, "tuning_parameters": {"mb": 8},)"
+      << R"( "output": 2.5, "output_name": 5}])";
+
+  RunResult r = crowdctl(repo.string() + " register alice alice@lab.gov");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string key = key_from(r);
+
+  r = crowdctl(repo.string() + " upload " + key + " pdgeqrf " +
+               records.string());
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  r = crowdctl(repo.string() + " stats pdgeqrf");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("problem 'pdgeqrf': 0 record(s)"), std::string::npos)
+      << r.output;
+
+  // A bad key fails the local query and explain with the same message.
+  for (const char* command : {" query ", " explain "}) {
+    r = crowdctl(repo.string() + command + "not-a-key pdgeqrf");
+    EXPECT_NE(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("invalid API key"), std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(Crowdctl, ShardsOptionNeedsNoOtherFlag) {
   TempDir dir("gptc_crowdctl_shards");
   const fs::path repo = dir.path() / "repo";

@@ -60,7 +60,7 @@ class CrowdWorkflowTest : public ::testing::Test {
       upload.output = eval.output;
       upload.machine_configuration = machine_config;
       upload.software_configuration = software;
-      repo.upload(key, "pdgeqrf", upload);
+      repo.upload_batch(key, "pdgeqrf", {upload});
     }
   }
 
@@ -89,7 +89,7 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
 
   // --- Phase 2: Bob reopens the repo, queries, and tunes with TLA ----------
   crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_);
-  EXPECT_EQ(repo.authenticate(alice_key).value(), "alice");
+  EXPECT_EQ(repo.authenticate_user(alice_key).value().username(), "alice");
   const std::string bob_key = repo.register_user("bob", "bob@uni.edu");
 
   const crowd::MetaDescription meta = make_meta(bob_key);
@@ -147,7 +147,7 @@ TEST_F(CrowdWorkflowTest, AccessControlSurvivesPersistence) {
     priv.output = 1.0;
     priv.machine_configuration = machine_.machine_configuration(8);
     priv.accessibility.level = crowd::Accessibility::Level::Private;
-    repo.upload(alice_key, "pdgeqrf", priv);
+    repo.upload_batch(alice_key, "pdgeqrf", {priv});
     repo.sync();
   }
   const crowd::SharedRepo repo = crowd::SharedRepo::open_durable(dir_);

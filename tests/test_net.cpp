@@ -250,7 +250,8 @@ TEST_F(NetTest, QueryResponseBytesMatchEncodedResult) {
         ASSERT_EQ(sock.recv_exact(got.data() + kHeaderSize, h.payload_size),
                   IoStatus::Ok);
 
-        std::vector<Json> records = repo_->query_where(key, problem, where);
+        std::vector<Json> records = repo_->query_where(
+            repo_->authenticate_user(key).value(), problem, where);
         if (problem == "pq" && where.empty()) {
           EXPECT_EQ(records.size(), visible_all);
         }

@@ -242,7 +242,8 @@ TEST(NetConcurrency, CleanShutdownDrainsInFlightUploads) {
 
   std::map<std::int64_t, int> stored_count;
   for (const Json& r :
-       sut.repo->query_where(key, "drain", "task_parameters.k >= 0")) {
+       sut.repo->query_where(sut.repo->authenticate_user(key).value(), "drain",
+                             "task_parameters.k >= 0")) {
     stored_count[r.at("_id").as_int()] += 1;
   }
   for (const std::int64_t id : acked) {

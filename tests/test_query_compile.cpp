@@ -597,8 +597,8 @@ TEST(CrowdIndexes, PerProblemIndexesDeclaredAndRedeclaredOnReopen) {
 
     // The first upload declared tuning/task parameter indexes; the planner
     // narrows below the problem partition through them.
-    const Json plan =
-        repo.explain_where(key, "pdgeqrf", "tuning_parameters.mb = 3");
+    const Json plan = repo.explain_where(repo.authenticate_user(key).value(),
+                                         "pdgeqrf", "tuning_parameters.mb = 3");
     bool saw_param_index = false;
     for (const Json& s : plan.at("shards").as_array()) {
       EXPECT_TRUE(s.at("index_scan").as_bool());
@@ -615,8 +615,9 @@ TEST(CrowdIndexes, PerProblemIndexesDeclaredAndRedeclaredOnReopen) {
   // Index definitions are in-memory: reopen must re-declare them from the
   // parameter names persisted in the problems-catalog descriptor.
   auto reopened = crowd::SharedRepo::open_durable(dir.path());
+  const crowd::AuthedUser user = reopened.authenticate_user(key).value();
   const Json plan =
-      reopened.explain_where(key, "pdgeqrf", "tuning_parameters.nb = 1");
+      reopened.explain_where(user, "pdgeqrf", "tuning_parameters.nb = 1");
   bool saw_param_index = false;
   for (const Json& s : plan.at("shards").as_array()) {
     for (const Json& idx : s.at("indexes").as_array()) {
@@ -628,7 +629,7 @@ TEST(CrowdIndexes, PerProblemIndexesDeclaredAndRedeclaredOnReopen) {
   EXPECT_TRUE(saw_param_index);
   // The records are still found through the re-declared indexes.
   EXPECT_EQ(
-      reopened.query_where(key, "pdgeqrf", "tuning_parameters.nb = 1").size(),
+      reopened.query_where(user, "pdgeqrf", "tuning_parameters.nb = 1").size(),
       8u);
 }
 

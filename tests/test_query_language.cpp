@@ -129,24 +129,24 @@ TEST(QueryLanguage, RepoIntegration) {
     Json mc = Json::object();
     mc["machine_name"] = mb % 2 == 0 ? "Cori" : "Summit";
     e.machine_configuration = std::move(mc);
-    repo.upload(key, "pdgeqrf", e);
+    repo.upload_batch(key, "pdgeqrf", {e});
   }
+  const AuthedUser user = repo.authenticate_user(key).value();
   const auto hits = repo.query_where(
-      key, "pdgeqrf",
+      user, "pdgeqrf",
       "tuning_parameters.mb >= 3 AND "
       "machine_configuration.machine_name = 'Cori'");
   ASSERT_EQ(hits.size(), 3u);  // mb = 4, 6, 8
   for (const auto& r : hits)
     EXPECT_GE(r.at("tuning_parameters").at("mb").as_int(), 3);
 
-  EXPECT_EQ(repo.query_where(key, "pdgeqrf",
+  EXPECT_EQ(repo.query_where(user, "pdgeqrf",
                              "tuning_parameters.mb IN (1, 2)")
                 .size(),
             2u);
-  EXPECT_EQ(repo.query_where(key, "other", "").size(), 0u);
-  EXPECT_THROW(repo.query_where("bad-key", "pdgeqrf", ""),
-               std::invalid_argument);
-  EXPECT_THROW(repo.query_where(key, "pdgeqrf", "mb >"), QueryParseError);
+  EXPECT_EQ(repo.query_where(user, "other", "").size(), 0u);
+  EXPECT_FALSE(repo.authenticate_user("bad-key").has_value());
+  EXPECT_THROW(repo.query_where(user, "pdgeqrf", "mb >"), QueryParseError);
 }
 
 TEST(QueryLanguage, RespectsAccessControl) {
@@ -158,9 +158,13 @@ TEST(QueryLanguage, RespectsAccessControl) {
   priv.tuning_parameters = Json::parse(R"({"mb":1})");
   priv.output = 1.0;
   priv.accessibility.level = Accessibility::Level::Private;
-  repo.upload(alice, "p", priv);
-  EXPECT_EQ(repo.query_where(alice, "p", "").size(), 1u);
-  EXPECT_EQ(repo.query_where(bob, "p", "").size(), 0u);
+  repo.upload_batch(alice, "p", {priv});
+  EXPECT_EQ(repo.query_where(repo.authenticate_user(alice).value(), "p", "")
+                .size(),
+            1u);
+  EXPECT_EQ(
+      repo.query_where(repo.authenticate_user(bob).value(), "p", "").size(),
+      0u);
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST(Variability, EndToEndThroughSharedRepo) {
     e.task_parameters = Json::parse(R"({"m":1000})");
     e.tuning_parameters = Json::parse(R"({"mb":4})");
     e.output = i == 5 ? 50.0 : 1.0 + 0.01 * i;  // one spike
-    repo.upload(key, "demo", e);
+    repo.upload_batch(key, "demo", {e});
   }
   MetaDescription meta;
   meta.api_key = key;

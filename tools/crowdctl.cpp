@@ -37,6 +37,8 @@
 //   [{"task_parameters": {...}, "tuning_parameters": {...},
 //     "output": 1.23, "machine_configuration": {...},
 //     "software_configuration": {...}}, ...]
+// Every record is decoded before any is stored, and the file is uploaded as
+// one atomic batch, locally and with --remote alike.
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -74,12 +76,18 @@ int usage() {
   return 2;
 }
 
-Json load_json_file(const std::string& path) {
+/// Decodes every record of a records file (a JSON array of upload
+/// records); throws on the first malformed one.
+std::vector<crowd::EvalUpload> load_uploads(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return Json::parse(buf.str());
+  const Json records = Json::parse(buf.str());
+  std::vector<crowd::EvalUpload> evals;
+  for (const auto& r : records.as_array())
+    evals.push_back(crowd::EvalUpload::from_json(r));
+  return evals;
 }
 
 /// Renders SharedRepo::explain_where()'s report (same shape locally and over
@@ -143,12 +151,7 @@ int run_remote(int argc, char** argv) {
   }
   if (command == "upload") {
     if (argc != 7) return usage();
-    const Json records = load_json_file(argv[6]);
-    std::vector<crowd::EvalUpload> evals;
-    for (const auto& r : records.as_array()) {
-      evals.push_back(crowd::EvalUpload::from_json(r));
-    }
-    const auto ids = client.upload(argv[4], argv[5], evals);
+    const auto ids = client.upload(argv[4], argv[5], load_uploads(argv[6]));
     std::cout << "uploaded " << ids.size() << " record(s) to problem '"
               << argv[5] << "' (durable on ack)\n";
     return 0;
@@ -256,23 +259,25 @@ int run(int argc, char** argv) {
               << "' registered; API key (shown once): " << key << "\n";
     return 0;
   }
+  // The API key of query/explain, authenticated once.
+  const auto authed = [&] {
+    auto user = repo.authenticate_user(argv[3]);
+    if (!user) throw std::invalid_argument("invalid API key");
+    return std::move(*user);
+  };
   if (command == "upload") {
     if (argc != 6) return usage();
-    const Json records = load_json_file(argv[5]);
-    std::size_t count = 0;
-    for (const auto& r : records.as_array()) {
-      repo.upload(argv[3], argv[4], crowd::EvalUpload::from_json(r));
-      ++count;
-    }
+    const auto evals = load_uploads(argv[5]);
+    repo.upload_batch(argv[3], argv[4], evals);
     repo.sync();
-    std::cout << "uploaded " << count << " record(s) to problem '" << argv[4]
-              << "'\n";
+    std::cout << "uploaded " << evals.size() << " record(s) to problem '"
+              << argv[4] << "'\n";
     return 0;
   }
   if (command == "query") {
     if (argc != 5 && argc != 6) return usage();
     const std::string where = argc == 6 ? argv[5] : "";
-    const auto records = repo.query_where(argv[3], argv[4], where);
+    const auto records = repo.query_where(authed(), argv[4], where);
     for (const auto& r : records) std::cout << r.dump() << "\n";
     std::cerr << records.size() << " record(s)\n";
     return 0;
@@ -280,7 +285,7 @@ int run(int argc, char** argv) {
   if (command == "explain") {
     if (argc != 5 && argc != 6) return usage();
     const std::string where = argc == 6 ? argv[5] : "";
-    print_plan(repo.explain_where(argv[3], argv[4], where));
+    print_plan(repo.explain_where(authed(), argv[4], where));
     return 0;
   }
   if (command == "stats") {
