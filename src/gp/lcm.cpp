@@ -368,7 +368,7 @@ double LcmModel::bounds_penalty(const la::Vector& theta,
                                 la::Vector* grad) const {
   // Smooth out-of-bounds penalty, so L-BFGS can walk back inside the box.
   const std::size_t nq = options_.num_latent, nt = num_tasks_;
-  const auto& b = options_.bounds;
+  const HyperBounds& b = kHyperBounds;
   double penalty = 0.0;
   const auto pen = [&](std::size_t p, double lo, double hi) {
     const double v = theta[p];

@@ -59,6 +59,9 @@ struct HyperBounds {
   double log_noise_max = 1.0;
 };
 
+/// The box every LCM fit's out-of-bounds penalty keeps theta inside.
+inline constexpr HyperBounds kHyperBounds{};
+
 struct LcmOptions {
   /// Number of latent kernels Q. 1–2 is enough for the task counts in the
   /// paper's experiments; cost grows linearly in Q.
@@ -74,7 +77,6 @@ struct LcmOptions {
   /// are randomly subsampled to this many points (see DESIGN.md ablation).
   std::size_t max_samples_per_task = 120;
   double min_noise = 1e-8;
-  HyperBounds bounds;
   /// Fit starts run concurrently on this pool (null = serial). Results are
   /// bitwise identical for any pool size: each start is a deterministic
   /// serial run, the winner is reduced in start order, and per-task

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -50,19 +49,8 @@ class ThreadPool {
   /// could deadlock: the outer tasks occupy every worker).
   static bool on_worker_thread();
 
-  /// Schedules an arbitrary task. The returned future rethrows any
-  /// exception the task throws.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
   /// Low-level: pushes a type-erased task onto the queue (parallel_for's
-  /// building block; prefer submit / parallel_for).
+  /// building block; prefer parallel_for).
   void enqueue(std::function<void()> task);
 
  private:

@@ -137,6 +137,10 @@ TEST(Crowdctl, UploadIsAllOrNothing) {
   r = crowdctl(repo.string() + " upload " + key + " pdgeqrf " +
                records.string());
   EXPECT_NE(r.exit_code, 0) << r.output;
+  // The error names the malformed record by its 1-based position.
+  EXPECT_NE(r.output.find("crowdctl: record 2: expected string, got int"),
+            std::string::npos)
+      << r.output;
   r = crowdctl(repo.string() + " stats pdgeqrf");
   ASSERT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("problem 'pdgeqrf': 0 record(s)"), std::string::npos)
@@ -149,6 +153,61 @@ TEST(Crowdctl, UploadIsAllOrNothing) {
     EXPECT_NE(r.output.find("invalid API key"), std::string::npos)
         << r.output;
   }
+}
+
+TEST(Crowdctl, VariabilityReportsEachUploadedObjective) {
+  // The report follows the objectives the records name: a "gflops" problem
+  // is grouped on gflops, and a problem holding two objectives prints one
+  // labelled report per objective, sorted by name. A runtime-only problem
+  // keeps its single unlabelled report.
+  TempDir dir("gptc_crowdctl_variability");
+  const fs::path repo = dir.path() / "repo";
+  const auto repeated = [&](const std::string& file, const std::string& name) {
+    const fs::path path = dir.path() / file;
+    std::ofstream out(path);
+    const char* sep = "[";
+    for (const char* y : {"10.0", "10.2", "9.9"}) {
+      out << sep << R"({"task_parameters": {"m": 1000}, "tuning_parameters": )"
+          << R"({"mb": 4}, "output": )" << y << R"(, "output_name": ")"
+          << name << R"("})";
+      sep = ", ";
+    }
+    out << "]";
+    return path.string();
+  };
+  RunResult r = crowdctl(repo.string() + " register alice alice@lab.gov");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string key = key_from(r);
+  const std::string gflops = repeated("gflops.json", "gflops");
+  const std::string runtime = repeated("runtime.json", "runtime");
+
+  r = crowdctl(repo.string() + " upload " + key + " qr " + gflops);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  r = crowdctl(repo.string() + " variability " + key + " qr");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.rfind("objective 'gflops': 1 repeated-measurement "
+                           "group(s)",
+                           0),
+            0u)
+      << r.output;
+
+  r = crowdctl(repo.string() + " upload " + key + " qr " + runtime);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  r = crowdctl(repo.string() + " variability " + key + " qr");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t g = r.output.find("objective 'gflops': 1 repeated");
+  const std::size_t t = r.output.find("objective 'runtime': 1 repeated");
+  ASSERT_NE(g, std::string::npos) << r.output;
+  ASSERT_NE(t, std::string::npos) << r.output;
+  EXPECT_LT(g, t) << r.output;
+
+  r = crowdctl(repo.string() + " upload " + key + " lu " + runtime);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  r = crowdctl(repo.string() + " variability " + key + " lu");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.rfind("1 repeated-measurement group(s), ", 0), 0u)
+      << r.output;
+  EXPECT_EQ(r.output.find("objective"), std::string::npos) << r.output;
 }
 
 TEST(Crowdctl, ShardsOptionNeedsNoOtherFlag) {

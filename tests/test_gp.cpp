@@ -641,9 +641,9 @@ TEST(LcmGradient, MatchesCentralDifferences) {
       // zero).
       const std::size_t clamped = noise_base + (nt > 1 ? 1 : 0);
       la::Vector edge = theta;
-      edge[0] = o.bounds.log_lengthscale_min - 0.4;
+      edge[0] = kHyperBounds.log_lengthscale_min - 0.4;
       edge[clamped] = std::log(o.min_noise) - 1.0;
-      ASSERT_GT(edge[clamped], o.bounds.log_noise_min);
+      ASSERT_GT(edge[clamped], kHyperBounds.log_noise_min);
       expect_gradient_matches(model, edge, what + " penalty+clamp");
       la::Vector grad;
       model.neg_log_likelihood(edge, grad);
@@ -850,7 +850,7 @@ double nll(const Stacked& s, std::size_t dim, std::size_t nt, std::size_t nq,
            double& jitter) {
   const std::size_t n = s.x.rows();
   grad.assign(theta.size(), 0.0);
-  const auto& b = o.bounds;
+  const HyperBounds& b = kHyperBounds;
   double penalty = 0.0;
   const auto pen = [&](std::size_t p, double lo, double hi) {
     const double v = theta[p];

@@ -455,6 +455,96 @@ TEST(LintDataflow, DeletingServerBoundsCheckRefiresTaint) {
   std::remove(mutated.c_str());
 }
 
+// --- escape-comment coverage -------------------------------------------------
+//
+// A `// lint: <name>` directive covers its own line and the next one; a tag
+// annotation (`// guard-ok:`, `// taint-ok:`, ...) covers the next line only
+// when the comment starts its own line.
+
+/// Writes `text` to `name` in the working directory, lints it (whole-program
+/// mode when `cross`) and removes the file again.
+RunResult lint_temp(const std::string& name, const std::string& text,
+                    bool cross) {
+  {
+    std::ofstream out(name);
+    out << text;
+  }
+  RunResult r = run(lint_cmd((cross ? "--cross-file " : "") + name));
+  std::remove(name.c_str());
+  return r;
+}
+
+TEST(LintEscape, LintDirectiveOnTheLineAboveCoversTheLoop) {
+  const std::string name = "lint_escape_unordered.cpp";
+  const std::string head =
+      "#include <unordered_map>\n"
+      "int sum(const std::unordered_map<int, int>& m) {\n";
+  const std::string escape =
+      "  // lint: unordered-ok integer addition is order-independent\n";
+  const std::string init = "  int s = 0;\n";
+  const std::string tail =
+      "  for (const auto& kv : m) s += kv.second;\n"
+      "  return s;\n"
+      "}\n";
+  RunResult r = lint_temp(name, head + init + escape + tail, false);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("0 finding(s)"), std::string::npos) << r.output;
+  // Two lines above the loop the directive no longer reaches it.
+  r = lint_temp(name, head + escape + init + tail, false);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(name + ":5: [R2]"), std::string::npos) << r.output;
+}
+
+TEST(LintEscape, TrailingGuardOkDoesNotCoverTheNextLine) {
+  const std::string name = "lint_escape_guard.cpp";
+  const RunResult r = lint_temp(
+      name,
+      "#include <mutex>\n"
+      "class Meter {\n"
+      " public:\n"
+      "  int pair_sum() {\n"
+      "    const int a = total_;  // guard-ok: a torn read only skews stats\n"
+      "    const int b = total_;\n"
+      "    return a + b;\n"
+      "  }\n"
+      "\n"
+      " private:\n"
+      "  std::mutex mu_;\n"
+      "  int total_ = 0;  // guarded_by: mu_\n"
+      "};\n",
+      true);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(name + ":6: [R10]"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(name + ":5: "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos) << r.output;
+}
+
+TEST(LintEscape, OwnLineTaintOkCoversTheNextLine) {
+  const std::string name = "lint_escape_taint.cpp";
+  const std::string head =
+      "#include <vector>\n"
+      "struct Sock {\n"
+      "  int recv_exact(char* buf, unsigned n);\n"
+      "};\n"
+      "unsigned decode_len(const char* buf);\n"
+      "void handle(Sock& s) {\n"
+      "  char header[8];\n"
+      "  s.recv_exact(header, 8);\n";
+  const std::string escape = "// taint-ok: the frame pool caps the length\n";
+  const std::string resize =
+      "  scratch.resize(decode_len(header));\n"
+      "}\n";
+  RunResult r = lint_temp(
+      name, head + "  std::vector<char> scratch;\n  " + escape + resize, true);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("0 finding(s)"), std::string::npos) << r.output;
+  // The same annotation trailing the line above binds to that line only.
+  r = lint_temp(name, head + "  std::vector<char> scratch;  " + escape + resize,
+                true);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find(name + ":10: [R12]"), std::string::npos) << r.output;
+}
+
 // --- output formats and baseline -------------------------------------------
 
 TEST(LintOutput, RepeatedInputsAreDeduplicatedAndSorted) {

@@ -14,18 +14,6 @@
 namespace gptc::parallel {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsTaskResult) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitFutureRethrowsTaskException) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, SizeZeroPoolIsLegalAndRunsSerially) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0u);

@@ -41,7 +41,7 @@ TEST_P(SingleTaskGpProperty, MaternGramIsPsdWithSignalVarianceDiagonal) {
                          la::Vector(pts.size(), 1.0)}},
            rng);
   one.fit({gp::TaskData{la::Matrix::from_rows({pts[0]}), {2.5}}}, rng);
-  const double log_noise = gp::HyperBounds{}.log_noise_min;
+  const double log_noise = gp::kHyperBounds.log_noise_min;
   for (int draw = 0; draw < 5; ++draw) {
     la::Vector theta(many.num_hyper());
     for (std::size_t i = 0; i < dim; ++i) theta[i] = rng.uniform(-2.0, 1.0);

@@ -42,6 +42,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 
 #include "crowd/query_language.hpp"
@@ -77,7 +78,8 @@ int usage() {
 }
 
 /// Decodes every record of a records file (a JSON array of upload
-/// records); throws on the first malformed one.
+/// records); throws on the first malformed one, naming its 1-based
+/// position ("record 2: expected string, got int").
 std::vector<crowd::EvalUpload> load_uploads(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -85,8 +87,14 @@ std::vector<crowd::EvalUpload> load_uploads(const std::string& path) {
   buf << in.rdbuf();
   const Json records = Json::parse(buf.str());
   std::vector<crowd::EvalUpload> evals;
-  for (const auto& r : records.as_array())
-    evals.push_back(crowd::EvalUpload::from_json(r));
+  for (const auto& r : records.as_array()) {
+    try {
+      evals.push_back(crowd::EvalUpload::from_json(r));
+    } catch (const std::exception& e) {
+      throw std::runtime_error("record " + std::to_string(evals.size() + 1) +
+                               ": " + e.what());
+    }
+  }
   return evals;
 }
 
@@ -300,17 +308,38 @@ int run(int argc, char** argv) {
     crowd::MetaDescription meta;
     meta.api_key = argv[3];
     meta.tuning_problem_name = argv[4];
-    const crowd::VariabilityReport report =
-        repo.query_variability_report(meta);
-    std::cout << report.summary() << "\n";
-    for (const auto& g : report.groups) {
-      if (g.outliers.empty() &&
-          !g.noisy(report.options.noisy_relative_mad))
-        continue;
-      std::cout << "  group median=" << g.median
-                << " relative_mad=" << g.relative_mad << " repeats="
-                << g.outputs.size() << " outliers=" << g.outliers.size()
-                << "\n";
+    // One report per objective the visible records name, in sorted order;
+    // a problem with no records reports on the default objective.
+    std::set<std::string> objectives;
+    repo.visit_where(authed(), meta.tuning_problem_name, "",
+                     [&](const Json& record) {
+                       if (record.contains("output") &&
+                           record.at("output").is_object())
+                         for (const auto& field :
+                              record.at("output").as_object())
+                           objectives.insert(field.first);
+                       return true;
+                     });
+    if (objectives.empty()) objectives.insert(meta.output_name);
+    // Only a problem holding the default objective alone keeps the
+    // unlabelled one-report output.
+    const bool label =
+        objectives.size() > 1 || *objectives.begin() != meta.output_name;
+    for (const std::string& objective : objectives) {
+      meta.output_name = objective;
+      const crowd::VariabilityReport report =
+          repo.query_variability_report(meta);
+      if (label) std::cout << "objective '" << objective << "': ";
+      std::cout << report.summary() << "\n";
+      for (const auto& g : report.groups) {
+        if (g.outliers.empty() &&
+            !g.noisy(report.options.noisy_relative_mad))
+          continue;
+        std::cout << "  group median=" << g.median
+                  << " relative_mad=" << g.relative_mad << " repeats="
+                  << g.outputs.size() << " outliers=" << g.outliers.size()
+                  << "\n";
+      }
     }
     return 0;
   }

@@ -38,8 +38,7 @@
 namespace gptc::lint::dataflow {
 
 void solve(std::size_t n, const std::function<bool(std::size_t)>& update,
-           const std::function<std::vector<std::size_t>(std::size_t)>&
-               dependents) {
+           const Dependents& dependents) {
   std::deque<std::size_t> work;
   std::vector<char> queued(n, 1);
   for (std::size_t i = 0; i < n; ++i) work.push_back(i);
@@ -55,6 +54,24 @@ void solve(std::size_t n, const std::function<bool(std::size_t)>& update,
       }
     }
   }
+}
+
+Dependents callers(const CallGraph& g) {
+  return [&g](std::size_t node) {
+    std::vector<std::size_t> out;
+    for (const Edge& e : g.in_edges(node)) out.push_back(e.from);
+    return out;
+  };
+}
+
+Dependents callees(const CallGraph& g,
+                   std::function<bool(const Edge&)> keep) {
+  return [&g, keep = std::move(keep)](std::size_t node) {
+    std::vector<std::size_t> out;
+    for (const Edge& e : g.out_edges(node))
+      if (keep(e)) out.push_back(e.to);
+    return out;
+  };
 }
 
 std::vector<char> reach_closure(const CallGraph& g,
@@ -74,11 +91,7 @@ std::vector<char> reach_closure(const CallGraph& g,
         }
         return false;
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const Edge& e : g.in_edges(i)) deps.push_back(e.from);
-        return deps;
-      });
+      callers(g));
   return out;
 }
 
@@ -97,11 +110,7 @@ std::vector<std::set<std::string>> set_closure(
         }
         return changed;
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const Edge& e : g.in_edges(i)) deps.push_back(e.from);
-        return deps;
-      });
+      callers(g));
   return init;
 }
 
@@ -127,10 +136,6 @@ bool generic_method_name(const std::string& base) {
 namespace gptc::lint {
 
 namespace {
-
-bool is_p(const Token& t, std::string_view s) {
-  return t.kind == TokKind::Punct && t.text == s;
-}
 
 bool starts_with(const std::string& s, std::string_view prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
@@ -180,6 +185,22 @@ bool untrusted_edge(const dataflow::Edge& e,
   return e.weak && dataflow::generic_method_name(fns[e.to].base);
 }
 
+/// Candidate definitions per (function, call index) over the trusted edges
+/// of the resolved call graph — what a call site may bind to for R12's
+/// summaries and R13's transitive leg.
+using SiteCallees =
+    std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>;
+
+SiteCallees trusted_callees(const ProjectIndex& index) {
+  const auto& fns = index.functions();
+  const dataflow::CallGraph& g = index.call_graph();
+  SiteCallees out;
+  for (std::size_t i = 0; i < fns.size(); ++i)
+    for (const dataflow::Edge& e : g.out_edges(i))
+      if (!untrusted_edge(e, fns)) out[{i, e.site}].push_back(e.to);
+  return out;
+}
+
 /// The name of the blocking primitive a call site invokes directly, or ""
 /// when the site is not in the catalogue. `project_callee`: the call binds
 /// to a project function it can reach unqualified (see project_calls).
@@ -204,17 +225,17 @@ std::string direct_blocking(const ProjectIndex& index, const FunctionInfo& fn,
   return "";
 }
 
-}  // namespace
-
-std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
+std::vector<Finding> blocking_findings(const ProjectIndex& index,
+                                       const SiteCallees& resolved) {
   std::vector<Finding> out;
   const auto& fns = index.functions();
   const dataflow::CallGraph& g = index.call_graph();
   const std::set<std::string> guards = index.declared_guards();
 
-  // Per-call-site escape: the line (or the line above) carries blocking-ok.
+  // Per-call-site escape: a blocking-ok with a reason covers the line.
   const auto site_ok = [&](const FunctionInfo& fn, const CallSite& c) {
-    return index.blocking_ok_at(fn.path, c.line);
+    return index.file(fn.path).directive_at("blocking-ok", c.line, 1, true) !=
+           nullptr;
   };
 
   // Call sites (function, call index) that bind to a project function an
@@ -257,24 +278,13 @@ std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
         }
         return false;
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const dataflow::Edge& e : g.in_edges(i)) deps.push_back(e.from);
-        return deps;
-      });
+      dataflow::callers(g));
 
   std::set<std::tuple<std::string, int, std::string>> emitted;
   const auto emit = [&](const std::string& path, int line, std::string msg) {
     if (emitted.emplace(path, line, msg).second)
       out.push_back({path, line, "R13", std::move(msg)});
   };
-
-  // Resolved candidates per (function, call index), for the transitive leg.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
-      resolved;
-  for (std::size_t i = 0; i < fns.size(); ++i)
-    for (const dataflow::Edge& e : g.out_edges(i))
-      if (!untrusted_edge(e, fns)) resolved[{i, e.site}].push_back(e.to);
 
   for (std::size_t i = 0; i < fns.size(); ++i) {
     const FunctionInfo& fn = fns[i];
@@ -368,8 +378,6 @@ std::vector<Finding> run_blocking_rule(const ProjectIndex& index) {
 // R12: untrusted-input taint tracking.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 /// Taint labels: -1 = wire input (the source), n >= 0 = "tainted iff the
 /// enclosing function's n-th parameter is".
 using Labels = std::set<int>;
@@ -410,17 +418,15 @@ struct TaintSummary {
 /// all state except the summaries and emitted findings is rebuilt fresh.
 class TaintWalk {
  public:
-  TaintWalk(const ProjectIndex& index, const FunctionInfo& fn,
-            std::size_t fn_index, const std::vector<Token>& toks,
-            std::vector<TaintSummary>& summaries,
-            const std::map<std::pair<std::size_t, std::size_t>,
-                           std::vector<std::size_t>>& resolved,
+  TaintWalk(const ScannedFile& file, const FunctionInfo& fn,
+            std::size_t fn_index, std::vector<TaintSummary>& summaries,
+            const SiteCallees& resolved,
             std::set<std::tuple<std::string, int, std::string>>& emitted,
             std::vector<Finding>& findings)
-      : ix_(index),
+      : file_(file),
         fn_(fn),
         i_(fn_index),
-        t_(toks),
+        t_(file.tokens),
         sums_(summaries),
         resolved_(resolved),
         emitted_(emitted),
@@ -464,7 +470,7 @@ class TaintWalk {
         // chained identifier was already read via its chain root.
         if (j + 1 < end && is_p(t_[j + 1], "(") && !is_p(t_[j - 1], "::")) {
           call_labels(j, end);
-          j = skip_parens(j + 1, end);
+          j = find_matching(t_, j + 1, "(", ")", end);
         }
         continue;
       }
@@ -475,10 +481,10 @@ class TaintWalk {
         // Declaration-with-init (`Type name(args)`) updates `name`;
         // everything else is a call expression evaluated for side effects.
         if (is_decl_init(j))
-          assign(chain_suffix(chain), args_labels(after, end));
+          assign(chain, args_labels(after, end));
         else
-          call_labels(decl_root(j), end);
-        j = skip_parens(after, end);
+          call_labels(j, end);
+        j = find_matching(t_, after, "(", ")", end);
         continue;
       }
       if (after < end && (is_p(t_[after], "=") || is_p(t_[after], "{"))) {
@@ -486,9 +492,9 @@ class TaintWalk {
         // `chain = rhs;` / `Type name = rhs;` / `Type name{rhs}`.
         const std::size_t rhs_begin = after + 1;
         const std::size_t rhs_end = is_p(t_[after], "{")
-                                        ? find_close(after, end, "{", "}")
+                                        ? find_matching(t_, after, "{", "}", end)
                                         : stmt_end(rhs_begin, end);
-        assign(chain_suffix(chain), expr_labels(rhs_begin, rhs_end));
+        assign(chain, expr_labels(rhs_begin, rhs_end));
         j = rhs_end;
         continue;
       }
@@ -522,10 +528,6 @@ class TaintWalk {
            is_p(prev, "&") || is_p(prev, "*");
   }
 
-  /// For `Type name(args)` the taintable name is the LAST identifier of the
-  /// chain starting at j; for a call it is j itself.
-  std::size_t decl_root(std::size_t j) const { return j; }
-
   /// Reads the dotted chain starting at root token `j`; returns the dotted
   /// name ("h.payload_size") and sets `after` to the first token past it.
   /// Subscripts inside the chain are skipped and do not extend the name.
@@ -535,7 +537,7 @@ class TaintWalk {
     std::size_t k = j + 1;
     while (k < end) {
       if (is_p(t_[k], "[")) {
-        const std::size_t close = find_close(k, end, "[", "]");
+        const std::size_t close = find_matching(t_, k, "[", "]", end);
         if (close >= end) break;
         k = close + 1;
         continue;
@@ -559,25 +561,6 @@ class TaintWalk {
     }
     after = k;
     return name;
-  }
-
-  /// `Type name = ...` leaves the type identifiers inside the chain read by
-  /// read_chain ("std.string"?) — they never dot-join, so the chain for a
-  /// declaration is just the declared name: keep the last dot-free segment.
-  std::string chain_suffix(const std::string& chain) const { return chain; }
-
-  std::size_t find_close(std::size_t open, std::size_t end,
-                         std::string_view o, std::string_view c) const {
-    int depth = 0;
-    for (std::size_t k = open; k < end; ++k) {
-      if (is_p(t_[k], o)) ++depth;
-      else if (is_p(t_[k], c) && --depth == 0) return k;
-    }
-    return end;
-  }
-
-  std::size_t skip_parens(std::size_t open, std::size_t end) const {
-    return find_close(open, end, "(", ")");
   }
 
   /// First token index past the statement starting at `from` (the `;` at
@@ -674,7 +657,7 @@ class TaintWalk {
         if (k + 1 < hi && is_p(t_[k + 1], "(") && !is_p(t_[k - 1], "::")) {
           const Labels r = call_labels(k, hi);
           out.insert(r.begin(), r.end());
-          k = skip_parens(k + 1, hi);
+          k = find_matching(t_, k + 1, "(", ")", hi);
         }
         continue;
       }
@@ -683,7 +666,7 @@ class TaintWalk {
       if (after < hi && is_p(t_[after], "(")) {
         const Labels r = call_labels(k, hi);
         out.insert(r.begin(), r.end());
-        k = skip_parens(after, hi);
+        k = find_matching(t_, after, "(", ")", hi);
         continue;
       }
       // Chain stopping before a method call contributes nothing here: the
@@ -707,7 +690,7 @@ class TaintWalk {
   std::vector<std::pair<std::size_t, std::size_t>> arg_ranges(
       std::size_t open, std::size_t end, std::size_t& close) {
     std::vector<std::pair<std::size_t, std::size_t>> args;
-    close = find_close(open, end, "(", ")");
+    close = find_matching(t_, open, "(", ")", end);
     if (close >= end || close <= open + 1) return args;
     std::size_t b = open + 1;
     int depth = 0;
@@ -898,7 +881,7 @@ class TaintWalk {
                        is_p(t_[k], "<") || is_p(t_[k], ">")))
       ++k;
     if (k >= end || !is_p(t_[k], "[")) return;
-    const std::size_t close = find_close(k, end, "[", "]");
+    const std::size_t close = find_matching(t_, k, "[", "]", end);
     const Labels l = expr_labels(k + 1, close);
     if (!l.empty()) sink(std::string("new[]' (allocation count)"), l, t_[j].line);
   }
@@ -909,7 +892,7 @@ class TaintWalk {
     const bool indexable = prev.kind == TokKind::Identifier ||
                            is_p(prev, "]") || is_p(prev, ")");
     if (!indexable) return;
-    const std::size_t close = find_close(j, end, "[", "]");
+    const std::size_t close = find_matching(t_, j, "[", "]", end);
     const Labels l = expr_labels(j + 1, close);
     if (!l.empty()) sink(std::string("operator[]' (array index)"), l,
                          t_[j].line);
@@ -920,7 +903,7 @@ class TaintWalk {
   /// compared chain's taint from here on.
   void handle_loop_condition(std::size_t j, std::size_t end) {
     const std::size_t open = j + 1;
-    const std::size_t close = find_close(open, end, "(", ")");
+    const std::size_t close = find_matching(t_, open, "(", ")", end);
     std::size_t lo = open + 1, hi = close;
     if (t_[j].text == "for") {
       // Condition = between the first and second ';' at depth 1.
@@ -1004,7 +987,7 @@ class TaintWalk {
   }
 
   void sink(const std::string& what, const Labels& labels, int line) {
-    if (ix_.taint_ok_at(fn_.path, line)) return;
+    if (file_.directive_at("taint-ok", line, 1, true) != nullptr) return;
     if (labels.count(kSrc) != 0) {
       const std::string msg =
           "untrusted input reaches '" + what +
@@ -1019,13 +1002,12 @@ class TaintWalk {
         sums_[i_].sinks.emplace(static_cast<std::size_t>(l), what);
   }
 
-  const ProjectIndex& ix_;
+  const ScannedFile& file_;
   const FunctionInfo& fn_;
   std::size_t i_;
-  const std::vector<Token>& t_;
+  const Tokens& t_;
   std::vector<TaintSummary>& sums_;
-  const std::map<std::pair<std::size_t, std::size_t>,
-                 std::vector<std::size_t>>& resolved_;
+  const SiteCallees& resolved_;
   std::set<std::tuple<std::string, int, std::string>>& emitted_;
   std::vector<Finding>& findings_;
   std::map<std::string, Labels> taint_;
@@ -1034,23 +1016,10 @@ class TaintWalk {
   std::set<std::size_t> loop_cmp_;
 };
 
-}  // namespace
-
-std::vector<Finding> run_taint_rule(const ProjectIndex& index,
-                                    const std::vector<ScannedFile>& files) {
+std::vector<Finding> taint_findings(const ProjectIndex& index,
+                                    const SiteCallees& resolved) {
   std::vector<Finding> findings;
   const auto& fns = index.functions();
-  const dataflow::CallGraph& g = index.call_graph();
-
-  std::map<std::string, const ScannedFile*> by_path;
-  for (const ScannedFile& f : files) by_path.emplace(f.path, &f);
-
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::size_t>>
-      resolved;
-  for (std::size_t i = 0; i < fns.size(); ++i)
-    for (const dataflow::Edge& e : g.out_edges(i))
-      if (!untrusted_edge(e, fns)) resolved[{i, e.site}].push_back(e.to);
-
   std::vector<TaintSummary> sums(fns.size());
   std::set<std::tuple<std::string, int, std::string>> emitted;
 
@@ -1058,10 +1027,8 @@ std::vector<Finding> run_taint_rule(const ProjectIndex& index,
       fns.size(),
       [&](std::size_t i) {
         if (!fns[i].is_definition) return false;
-        const auto fit = by_path.find(fns[i].path);
-        if (fit == by_path.end()) return false;
         const TaintSummary before = sums[i];
-        TaintWalk walk(index, fns[i], i, fit->second->tokens, sums, resolved,
+        TaintWalk walk(index.file(fns[i].path), fns[i], i, sums, resolved,
                        emitted, findings);
         walk.run();
         // Summaries only grow: monotone, so the solver terminates.
@@ -1072,13 +1039,20 @@ std::vector<Finding> run_taint_rule(const ProjectIndex& index,
         for (const auto& [p, d] : before.sinks) s.sinks.emplace(p, d);
         return !(s == before);
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const dataflow::Edge& e : g.in_edges(i)) deps.push_back(e.from);
-        return deps;
-      });
+      dataflow::callers(index.call_graph()));
 
   return findings;
+}
+
+}  // namespace
+
+std::vector<Finding> run_dataflow_rules(const ProjectIndex& index) {
+  const SiteCallees resolved = trusted_callees(index);
+  std::vector<Finding> out = taint_findings(index, resolved);
+  std::vector<Finding> blocking = blocking_findings(index, resolved);
+  out.insert(out.end(), std::make_move_iterator(blocking.begin()),
+             std::make_move_iterator(blocking.end()));
+  return out;
 }
 
 }  // namespace gptc::lint

@@ -82,13 +82,24 @@ class CallGraph {
   std::vector<std::vector<Edge>> out_, in_;
 };
 
+/// The nodes to revisit when a node's fact changes.
+using Dependents = std::function<std::vector<std::size_t>(std::size_t)>;
+
 /// Chaotic-iteration worklist fixpoint. Seeds every node once, then
 /// requeues `dependents(node)` whenever `update(node)` reports a change.
 /// Terminates when no update changes anything; the caller's lattice must
 /// have finite height for that to happen.
 void solve(std::size_t n, const std::function<bool(std::size_t)>& update,
-           const std::function<std::vector<std::size_t>(std::size_t)>&
-               dependents);
+           const Dependents& dependents);
+
+/// Dependents of a bottom-up fact (reachability, summaries): the callers
+/// of a node, one entry per in-edge.
+Dependents callers(const CallGraph& g);
+
+/// Dependents of a top-down fact (held-at-entry contexts): the callees of
+/// a node, one entry per out-edge that `keep` accepts.
+Dependents callees(const CallGraph& g,
+                   std::function<bool(const Edge&)> keep);
 
 /// Bottom-up boolean reachability: node i holds when seed[i] holds or any
 /// out-edge not rejected by `cut` leads to a holding node. Passing a null

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   if (!errors.empty()) return 2;
 
   // Scan every input once; in cross-file mode the scans feed pass 1 (the
-  // ProjectIndex) before any rule runs.
+  // ProjectIndex, which keeps pointers into `scanned`) before any rule runs.
   std::vector<gptc::lint::ScannedFile> scanned;
   scanned.reserve(files.size());
   for (const std::string& file : files) {
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
                     std::make_move_iterator(file_findings.end()));
   }
   if (cross_file) {
-    auto project_findings = gptc::lint::run_project_rules(index, scanned);
+    auto project_findings = gptc::lint::run_project_rules(index);
     findings.insert(findings.end(),
                     std::make_move_iterator(project_findings.begin()),
                     std::make_move_iterator(project_findings.end()));

@@ -2,51 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
 #include <set>
 #include <string_view>
 
 namespace gptc::lint {
 
 namespace {
-
-using Tokens = std::vector<Token>;
-
-bool is_id(const Token& t, std::string_view s) {
-  return t.kind == TokKind::Identifier && t.text == s;
-}
-
-bool is_p(const Token& t, std::string_view s) {
-  return t.kind == TokKind::Punct && t.text == s;
-}
-
-/// Keywords that can directly precede a call expression; two adjacent
-/// identifiers where the first is NOT one of these are treated as a
-/// declaration (`TrainingData data`, `double sum`).
-bool is_expr_keyword(std::string_view s) {
-  static const std::set<std::string_view> kw = {
-      "return",    "co_return", "co_yield", "co_await", "throw",  "case",
-      "else",      "do",        "goto",     "new",      "delete", "sizeof",
-      "alignof",   "typeid",    "not",      "and",      "or",     "xor",
-      "constexpr", "if",        "while",    "for",      "switch",
-  };
-  return kw.count(s) != 0;
-}
-
-/// Index of the token matching the opener at `open` (one of ( [ { < ),
-/// counting only that bracket pair. Returns tokens.size() if unmatched.
-std::size_t find_matching(const Tokens& toks, std::size_t open,
-                          std::string_view open_text,
-                          std::string_view close_text) {
-  int depth = 0;
-  for (std::size_t i = open; i < toks.size(); ++i) {
-    if (is_p(toks[i], open_text)) ++depth;
-    else if (is_p(toks[i], close_text)) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return toks.size();
-}
 
 void add(std::vector<Finding>& out, const ScannedFile& f, int line,
          std::string rule, std::string message) {
@@ -119,12 +81,48 @@ std::set<std::string> unordered_names(const Tokens& t) {
   return names;
 }
 
-void rule_r2(const ScannedFile& f, std::vector<Finding>& out) {
+/// R2 and R6 share one scan: a range-for over, or `.begin()`/`.cbegin()` on,
+/// a name declared unordered. R2 reports names declared unordered in this
+/// file; R6 (cross-file mode, `ix` non-null) reports members declared
+/// unordered in another file. A name declared unordered here is R2's even
+/// when another file also declares it, which keeps the two rules disjoint.
+void rules_r2_r6(const ScannedFile& f, const ProjectIndex* ix,
+                 std::vector<Finding>& out) {
   const Tokens& t = f.tokens;
-  const std::set<std::string> unordered = unordered_names(t);
-  if (unordered.empty()) return;
+  const std::set<std::string> local = unordered_names(t);
+  std::map<std::string, const UnorderedMember*> cross;
+  if (ix != nullptr) {
+    for (const UnorderedMember& m : ix->unordered_members()) {
+      if (m.path == f.path || local.count(m.name) != 0) continue;
+      cross.emplace(m.name, &m);
+    }
+  }
+  if (local.empty() && cross.empty()) return;
+
+  const auto report = [&](int line, const std::string& name, bool range_for) {
+    if (f.directive_at("unordered-ok", line) != nullptr) return;
+    const char* how = range_for ? "range-for over" : "iterator over";
+    const auto it = cross.find(name);
+    if (it == cross.end()) {
+      add(out, f, line, "R2",
+          std::string(how) + " unordered container '" + name +
+              "' — bucket order is implementation-defined; " +
+              (range_for ? "iterate a sorted view, or annotate"
+                         : "annotate") +
+              " `// lint: unordered-ok <reason>` if provably "
+              "order-independent");
+      return;
+    }
+    const UnorderedMember& m = *it->second;
+    add(out, f, line, "R6",
+        std::string(how) + " unordered member '" + m.name + "' (" +
+            m.container + ", declared " + m.path + ":" +
+            std::to_string(m.line) +
+            ") — bucket order is implementation-defined; iterate a sorted "
+            "view, or annotate `// lint: unordered-ok <reason>` if provably "
+            "order-independent");
+  };
   for (std::size_t i = 0; i < t.size(); ++i) {
-    // Range-for over an unordered container.
     if (is_id(t[i], "for") && i + 1 < t.size() && is_p(t[i + 1], "(")) {
       const std::size_t close = find_matching(t, i + 1, "(", ")");
       if (close >= t.size()) continue;
@@ -140,33 +138,24 @@ void rule_r2(const ScannedFile& f, std::vector<Finding>& out) {
           break;
         }
       }
-      if (colon == t.size()) continue;
+      // The first name of each kind in the range expression is reported.
+      bool seen_local = false, seen_cross = false;
       for (std::size_t j = colon + 1; j < close; ++j) {
-        if (t[j].kind == TokKind::Identifier &&
-            unordered.count(t[j].text) != 0) {
-          if (!f.allowed("unordered-ok", t[i].line)) {
-            add(out, f, t[i].line, "R2",
-                "range-for over unordered container '" + t[j].text +
-                    "' — bucket order is implementation-defined; iterate a "
-                    "sorted view, or annotate `// lint: unordered-ok "
-                    "<reason>` if provably order-independent");
-          }
-          break;
-        }
+        if (t[j].kind != TokKind::Identifier) continue;
+        bool* seen = local.count(t[j].text) != 0   ? &seen_local
+                     : cross.count(t[j].text) != 0 ? &seen_cross
+                                                   : nullptr;
+        if (seen == nullptr || *seen) continue;
+        *seen = true;
+        report(t[i].line, t[j].text, true);
       }
     }
     // Iterator loop: container.begin() / container.cbegin().
-    if (t[i].kind == TokKind::Identifier && unordered.count(t[i].text) != 0 &&
+    if (t[i].kind == TokKind::Identifier &&
+        (local.count(t[i].text) != 0 || cross.count(t[i].text) != 0) &&
         i + 2 < t.size() && (is_p(t[i + 1], ".") || is_p(t[i + 1], "->")) &&
-        (is_id(t[i + 2], "begin") || is_id(t[i + 2], "cbegin"))) {
-      if (!f.allowed("unordered-ok", t[i].line)) {
-        add(out, f, t[i].line, "R2",
-            "iterator over unordered container '" + t[i].text +
-                "' — bucket order is implementation-defined; annotate "
-                "`// lint: unordered-ok <reason>` if provably "
-                "order-independent");
-      }
-    }
+        (is_id(t[i + 2], "begin") || is_id(t[i + 2], "cbegin")))
+      report(t[i].line, t[i].text, false);
   }
 }
 
@@ -414,68 +403,6 @@ void rule_r4(const ScannedFile& f, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// R6: iteration over an unordered member declared in another TU.
-// ---------------------------------------------------------------------------
-
-void rule_r6(const ScannedFile& f, const ProjectIndex& ix,
-             std::vector<Finding>& out) {
-  // Names declared unordered elsewhere in the project. Names also declared
-  // unordered in THIS file are R2's job (per-file visibility) — excluding
-  // them keeps the two rules disjoint.
-  const Tokens& t = f.tokens;
-  const std::set<std::string> local = unordered_names(t);
-  std::map<std::string, const UnorderedMember*> cross;
-  for (const UnorderedMember& m : ix.unordered_members()) {
-    if (m.path == f.path || local.count(m.name) != 0) continue;
-    cross.emplace(m.name, &m);
-  }
-  if (cross.empty()) return;
-
-  auto report = [&](int line, const UnorderedMember& m, const char* how) {
-    add(out, f, line, "R6",
-        std::string(how) + " unordered member '" + m.name + "' (" +
-            m.container + ", declared " + m.path + ":" +
-            std::to_string(m.line) +
-            ") — bucket order is implementation-defined; iterate a sorted "
-            "view, or annotate `// lint: unordered-ok <reason>` if provably "
-            "order-independent");
-  };
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (is_id(t[i], "for") && i + 1 < t.size() && is_p(t[i + 1], "(")) {
-      const std::size_t close = find_matching(t, i + 1, "(", ")");
-      if (close >= t.size()) continue;
-      std::size_t colon = t.size();
-      int depth = 0;
-      for (std::size_t j = i + 1; j < close; ++j) {
-        if (is_p(t[j], "(")) ++depth;
-        else if (is_p(t[j], ")")) --depth;
-        else if (is_p(t[j], ":") && depth == 1) {
-          colon = j;
-          break;
-        }
-      }
-      if (colon == t.size()) continue;
-      for (std::size_t j = colon + 1; j < close; ++j) {
-        const auto it = t[j].kind == TokKind::Identifier
-                            ? cross.find(t[j].text)
-                            : cross.end();
-        if (it != cross.end()) {
-          if (!f.allowed("unordered-ok", t[i].line))
-            report(t[i].line, *it->second, "range-for over");
-          break;
-        }
-      }
-    }
-    if (t[i].kind == TokKind::Identifier && cross.count(t[i].text) != 0 &&
-        i + 2 < t.size() && (is_p(t[i + 1], ".") || is_p(t[i + 1], "->")) &&
-        (is_id(t[i + 2], "begin") || is_id(t[i + 2], "cbegin"))) {
-      if (!f.allowed("unordered-ok", t[i].line))
-        report(t[i].line, *cross.at(t[i].text), "iterator over");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // R8: durability — file creation must reach fsync / sync_parent_dir.
 // ---------------------------------------------------------------------------
 
@@ -490,7 +417,7 @@ void rule_r8(const ScannedFile& f, const ProjectIndex& ix,
     }
     if (durable) continue;
     for (const CreateSite& cs : fn->creates) {
-      if (f.allowed("durability-ok", cs.line)) continue;
+      if (f.directive_at("durability-ok", cs.line) != nullptr) continue;
       add(out, f, cs.line, "R8",
           "'" + cs.what + "' in '" + fn->qualified +
               "' never reaches fsync/fdatasync/sync_parent_dir before "
@@ -528,7 +455,7 @@ void check_launch_callable(const ScannedFile& f, const ProjectIndex& ix,
                            std::size_t begin, std::size_t end, int line,
                            std::vector<Finding>& out) {
   const Tokens& t = f.tokens;
-  if (f.allowed("noexcept-ok", line)) return;
+  if (f.directive_at("noexcept-ok", line) != nullptr) return;
   auto flag = [&](const std::string& name) {
     add(out, f, line, "R9",
         "thread entry point '" + name +
@@ -603,7 +530,7 @@ void rule_r9(const ScannedFile& f, const ProjectIndex& ix,
     if (!drives_replay) continue;
     for (const CallSite& c : fn->calls) {
       if (c.name != "apply_op") continue;
-      if (f.allowed("noexcept-ok", c.line)) continue;
+      if (f.directive_at("noexcept-ok", c.line) != nullptr) continue;
       bool in_try = false;
       for (const TryRange& tr : fn->tries)
         if (tr.catch_all && c.token > tr.begin && c.token < tr.end)
@@ -626,8 +553,7 @@ void rule_r9(const ScannedFile& f, const ProjectIndex& ix,
 // R7: lock-order cycles over the project-wide acquires-while-holding graph.
 // ---------------------------------------------------------------------------
 
-std::vector<Finding> run_project_rules(const ProjectIndex& index,
-                                       const std::vector<ScannedFile>& files) {
+std::vector<Finding> run_project_rules(const ProjectIndex& index) {
   std::vector<Finding> out;
   // Active edges: at least one non-suppressed witness.
   std::map<std::string, std::set<std::string>> adj;
@@ -701,12 +627,9 @@ std::vector<Finding> run_project_rules(const ProjectIndex& index,
     out.push_back(Finding{g.path, g.line, g.rule, g.message});
   // R12/R13: interprocedural dataflow rules (dataflow.cpp) over the same
   // resolved call graph, via the shared worklist framework.
-  auto taint = run_taint_rule(index, files);
-  out.insert(out.end(), std::make_move_iterator(taint.begin()),
-             std::make_move_iterator(taint.end()));
-  auto blocking = run_blocking_rule(index);
-  out.insert(out.end(), std::make_move_iterator(blocking.begin()),
-             std::make_move_iterator(blocking.end()));
+  auto dataflow = run_dataflow_rules(index);
+  out.insert(out.end(), std::make_move_iterator(dataflow.begin()),
+             std::make_move_iterator(dataflow.end()));
   return out;
 }
 
@@ -726,11 +649,10 @@ std::vector<Finding> run_rules(const ScannedFile& file, const FileContext& ctx,
                                const ProjectIndex* index) {
   std::vector<Finding> out;
   if (!ctx.rng_exempt) rule_r1(file, out);
-  rule_r2(file, out);
+  rules_r2_r6(file, index, out);
   rules_r3_r5(file, out);
   if (ctx.parallel_layer) rule_r4(file, out);
   if (index != nullptr) {
-    rule_r6(file, *index, out);
     if (ctx.engine_layer) rule_r8(file, *index, out);
     rule_r9(file, *index, out);
   }

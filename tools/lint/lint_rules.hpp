@@ -105,18 +105,12 @@ std::vector<Finding> run_rules(const ScannedFile& file, const FileContext& ctx,
 
 /// Runs the whole-program rules (R7 lock-order, R10/R11 guarded-by, R12
 /// untrusted-input taint, R13 blocking-under-lock) over a finalized index.
-/// `files` are the scanned sources backing the index — the taint analysis
-/// re-walks function bodies token-by-token as callee summaries change.
-std::vector<Finding> run_project_rules(const ProjectIndex& index,
-                                       const std::vector<ScannedFile>& files);
+std::vector<Finding> run_project_rules(const ProjectIndex& index);
 
-/// R12: interprocedural untrusted-input taint tracking (dataflow.cpp).
-std::vector<Finding> run_taint_rule(const ProjectIndex& index,
-                                    const std::vector<ScannedFile>& files);
-
-/// R13: blocking syscalls under declared guards and handler-to-snapshot
-/// reachability (dataflow.cpp).
-std::vector<Finding> run_blocking_rule(const ProjectIndex& index);
+/// R12 interprocedural untrusted-input taint tracking and R13 blocking
+/// syscalls under declared guards / handler-to-snapshot reachability
+/// (dataflow.cpp), over one map of resolved call sites.
+std::vector<Finding> run_dataflow_rules(const ProjectIndex& index);
 
 /// One-line-per-rule summary for `gptc-lint --list-rules`.
 std::string describe_rules();

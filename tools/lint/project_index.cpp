@@ -9,44 +9,9 @@ namespace gptc::lint {
 
 namespace {
 
-using Tokens = std::vector<Token>;
-
-bool is_id(const Token& t, std::string_view s) {
-  return t.kind == TokKind::Identifier && t.text == s;
-}
-
-bool is_p(const Token& t, std::string_view s) {
-  return t.kind == TokKind::Punct && t.text == s;
-}
-
-bool is_expr_keyword(std::string_view s) {
-  static const std::set<std::string_view> kw = {
-      "return", "co_return", "co_yield", "co_await", "throw", "case",
-      "else",   "do",        "goto",     "new",      "delete", "sizeof",
-      "alignof", "typeid",   "not",      "and",      "or",     "xor",
-      "if",     "while",     "for",      "switch",   "catch",  "constexpr",
-      "static_assert",
-  };
-  return kw.count(s) != 0;
-}
-
 bool is_cv_ref(const Token& t) {
   return is_id(t, "const") || is_id(t, "volatile") || is_p(t, "&") ||
          is_p(t, "*") || is_p(t, "&&");
-}
-
-std::size_t find_matching(const Tokens& t, std::size_t open,
-                          std::string_view open_text,
-                          std::string_view close_text) {
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (is_p(t[i], open_text)) ++depth;
-    else if (is_p(t[i], close_text)) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return t.size();
 }
 
 const std::set<std::string_view> kUnorderedContainers = {
@@ -91,7 +56,6 @@ class IndexBuilder {
   }
 
   void run() {
-    record_directives();
     std::vector<std::pair<std::string, std::size_t>> class_stack;
     for (std::size_t i = 0; i < t_.size(); ++i) {
       while (!class_stack.empty() && i >= class_stack.back().second)
@@ -114,48 +78,6 @@ class IndexBuilder {
   }
 
  private:
-  /// Copies the file's `lock-order-ok` and guard-ok directives into the
-  /// index (R7 and the guard analysis need them at finalize time, when the
-  /// per-file directive list is gone).
-  void record_directives() {
-    for (const Directive& d : f_.directives) {
-      if (d.name == "lock-order-ok") {
-        ix_.lock_order_ok_[f_.path].insert(d.line);
-        ix_.lock_order_ok_[f_.path].insert(d.line + 1);
-      }
-      if (d.name == "guard-ok" && !d.reason.empty()) {
-        ix_.guard_ok_[f_.path].insert(d.line);
-        // A comment-above escape also covers the next line; a trailing one
-        // binds to its own line only, or it would leak onto the statement
-        // below it.
-        if (d.own_line) ix_.guard_ok_[f_.path].insert(d.line + 1);
-      }
-      if (d.name == "blocking-ok" && !d.reason.empty()) {
-        ix_.blocking_ok_[f_.path].insert(d.line);
-        if (d.own_line) ix_.blocking_ok_[f_.path].insert(d.line + 1);
-      }
-      if (d.name == "taint-ok" && !d.reason.empty()) {
-        ix_.taint_ok_[f_.path].insert(d.line);
-        if (d.own_line) ix_.taint_ok_[f_.path].insert(d.line + 1);
-      }
-    }
-  }
-
-  /// The directive named `name` that covers `line` (the annotation sits on
-  /// the line itself or up to `window` lines above it — multi-line
-  /// signatures push the name token below the comment). Only a comment that
-  /// starts its own line may apply to lines below it; a trailing comment
-  /// annotates its own line exclusively, so an annotation on one member
-  /// declaration never bleeds into the next.
-  const Directive* directive_at(std::string_view name, int line,
-                                int window = 1) const {
-    for (const Directive& d : f_.directives) {
-      if (d.name != name || d.line > line || line - d.line > window) continue;
-      if (d.line == line || d.own_line) return &d;
-    }
-    return nullptr;
-  }
-
   /// First whitespace-separated word of an annotation's text (the lock
   /// expression) qualified to a lock identity: `mu_` becomes `Cls::mu_`,
   /// an already-qualified `Shard::mu` is kept as-is.
@@ -310,11 +232,11 @@ class IndexBuilder {
     if (is_thread) ix_.thread_members_.insert(name);
     // Guard annotations on the declaration itself.
     const int line = t_[name_tok].line;
-    if (const Directive* d = directive_at("guarded_by", line)) {
+    if (const Directive* d = f_.directive_at("guarded_by", line)) {
       const std::string id = qualify_lock(d->reason, cls);
       if (!id.empty()) ix_.guarded_by_[cls][name] = id;
     }
-    if (directive_at("guard-ok", line) != nullptr)
+    if (f_.directive_at("guard-ok", line) != nullptr)
       ix_.member_guard_ok_.insert(cls + "::" + name);
   }
 
@@ -450,19 +372,19 @@ class IndexBuilder {
     fn.is_definition = is_def;
     // Guard annotations above (or on) the signature line. A window of two
     // lines tolerates a long return type pushing the name token down.
-    if (const Directive* d = directive_at("requires_lock", fn.line, 2)) {
+    if (const Directive* d = f_.directive_at("requires_lock", fn.line, 2)) {
       const std::string id = qualify_lock(d->reason, fn.cls);
       if (!id.empty())
         fn.requires_locks.push_back({id, annotation_shared(d->reason)});
     }
-    if (const Directive* d = directive_at("returns_lock", fn.line, 2)) {
+    if (const Directive* d = f_.directive_at("returns_lock", fn.line, 2)) {
       const std::string id = qualify_lock(d->reason, fn.cls);
       if (!id.empty())
         fn.returns_locks.push_back({id, annotation_shared(d->reason)});
     }
-    if (directive_at("guard-ok", fn.line, 2) != nullptr)
+    if (f_.directive_at("guard-ok", fn.line, 2) != nullptr)
       fn.guard_exempt = true;
-    if (directive_at("blocking-ok", fn.line, 2) != nullptr)
+    if (f_.directive_at("blocking-ok", fn.line, 2) != nullptr)
       fn.blocking_exempt = true;
     if (is_def) {
       fn.body_begin = j;
@@ -995,7 +917,12 @@ class IndexBuilder {
 };
 
 void ProjectIndex::add_file(const ScannedFile& file) {
+  files_[file.path] = &file;
   IndexBuilder(*this, file).run();
+}
+
+const ScannedFile& ProjectIndex::file(const std::string& path) const {
+  return *files_.at(path);
 }
 
 std::vector<const FunctionInfo*> ProjectIndex::functions_in(
@@ -1260,10 +1187,6 @@ void ProjectIndex::finalize() {
   // held back as per-function summaries and instantiated at call sites
   // below, where the arguments give the locks their real identities.
   lock_edges_.clear();
-  auto suppressed_at = [this](const std::string& path, int line) {
-    const auto it = lock_order_ok_.find(path);
-    return it != lock_order_ok_.end() && it->second.count(line) != 0;
-  };
   struct ParamEdge {
     std::string a, b;   // at least one side is a "$N" placeholder
     std::string via;    // qualified name of the function that takes them
@@ -1292,15 +1215,16 @@ void ProjectIndex::finalize() {
   for (std::size_t i = 0; i < functions_.size(); ++i) {
     const FunctionInfo& fn = functions_[i];
     if (!fn.is_definition) continue;
+    const ScannedFile& src = file(fn.path);
     for (const LockSite& l : fn.locks) {
-      const bool l_ok = suppressed_at(fn.path, l.line);
+      const bool l_ok = src.directive_at("lock-order-ok", l.line) != nullptr;
       for (const LockSite& m : fn.locks) {
         if (m.token <= l.token || m.token >= l.scope_end) continue;
         if (m.lock_id == l.lock_id) continue;
         add_edge(fn, i, l.lock_id, m.lock_id, m.line,
                  "'" + l.lock_id + "' held when '" + m.lock_id +
                      "' is acquired",
-                 l_ok || suppressed_at(fn.path, m.line));
+                 l_ok || src.directive_at("lock-order-ok", m.line) != nullptr);
       }
       for (const CallSite& c : fn.calls) {
         if (c.token <= l.token || c.token >= l.scope_end) continue;
@@ -1317,7 +1241,8 @@ void ProjectIndex::finalize() {
           add_edge(fn, i, l.lock_id, id, c.line,
                    "'" + l.lock_id + "' held across call to '" + c.name +
                        "' which (transitively) acquires '" + id + "'",
-                   l_ok || suppressed_at(fn.path, c.line));
+                   l_ok ||
+                       src.directive_at("lock-order-ok", c.line) != nullptr);
         }
       }
     }
@@ -1344,7 +1269,9 @@ void ProjectIndex::finalize() {
             const std::string a = subst(functions_[k], c, pe.a);
             const std::string b = subst(functions_[k], c, pe.b);
             if (a == b) continue;
-            const bool sup = pe.suppressed || suppressed_at(fn.path, c.line);
+            const bool sup =
+                pe.suppressed ||
+                file(fn.path).directive_at("lock-order-ok", c.line) != nullptr;
             if (is_placeholder(a) || is_placeholder(b)) {
               bool seen = false;
               for (const ParamEdge& own : pedges[i])
@@ -1372,12 +1299,7 @@ void ProjectIndex::finalize() {
         }
         return changed;
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const dataflow::Edge& edge : graph_.in_edges(i))
-          deps.push_back(edge.from);
-        return deps;
-      });
+      dataflow::callers(graph_));
 
   // ---- Guard analysis (R10/R11) -------------------------------------------
   guard_findings_.clear();
@@ -1463,6 +1385,10 @@ void ProjectIndex::finalize() {
   }
   // Least fixpoint: exemption only ever turns on, and when it does the
   // node's non-lambda callees must be revisited.
+  const dataflow::Dependents non_lambda_callees =
+      dataflow::callees(graph_, [this](const dataflow::Edge& e) {
+        return !functions_[e.from].calls[e.site].in_lambda;
+      });
   dataflow::solve(
       functions_.size(),
       [&](std::size_t i) {
@@ -1472,12 +1398,7 @@ void ProjectIndex::finalize() {
         exempt_[i] = 1;
         return true;
       },
-      [&](std::size_t i) {
-        std::vector<std::size_t> deps;
-        for (const dataflow::Edge& e : graph_.out_edges(i))
-          if (!functions_[i].calls[e.site].in_lambda) deps.push_back(e.to);
-        return deps;
-      });
+      non_lambda_callees);
 
   // Held-at-entry: the locks provably held at EVERY visible non-lambda call
   // site from a non-exempt caller; greatest fixpoint over the call graph so
@@ -1531,12 +1452,7 @@ void ProjectIndex::finalize() {
         }
         return false;
       },
-      [&](std::size_t k) {
-        std::vector<std::size_t> deps;
-        for (const dataflow::Edge& e : graph_.out_edges(k))
-          if (!functions_[k].calls[e.site].in_lambda) deps.push_back(e.to);
-        return deps;
-      });
+      non_lambda_callees);
 
   const auto guard_of = [&](const std::string& cls,
                             const std::string& member) -> const std::string* {
@@ -1554,10 +1470,6 @@ void ProjectIndex::finalize() {
     for (const std::string& id : mi->second)
       if (guard_exempt_type_id(id)) return true;
     return false;
-  };
-  const auto line_ok = [&](const std::string& path, int line) {
-    const auto it = guard_ok_.find(path);
-    return it != guard_ok_.end() && it->second.count(line) != 0;
   };
   std::set<std::tuple<std::string, int, std::string, std::string>> emitted;
   const auto emit = [&](const std::string& path, int line, const char* rule,
@@ -1597,7 +1509,10 @@ void ProjectIndex::finalize() {
         links.emplace_back(type, a.segments[si], last && a.is_write);
         type = member_type_of(type, a.segments[si]);
       }
-      if (links.empty() || line_ok(fn.path, a.line)) continue;
+      // A line-level guard-ok escape must give its reason.
+      if (links.empty() ||
+          file(fn.path).directive_at("guard-ok", a.line, 1, true) != nullptr)
+        continue;
       const Held held =
           a.in_lambda ? local_held(i, a.token) : full_held(i, a.token);
       for (const auto& [cls, member, wr] : links) {
@@ -1669,7 +1584,9 @@ void ProjectIndex::finalize() {
       for (std::size_t k : candidates(fn, c))
         for (const LockContract& r : functions_[k].requires_locks)
           contracts.emplace(r.lock_id, r.shared);
-      if (contracts.empty() || line_ok(fn.path, c.line)) continue;
+      if (contracts.empty() ||
+          file(fn.path).directive_at("guard-ok", c.line, 1, true) != nullptr)
+        continue;
       const Held held = full_held(i, c.token);
       if (held.top) continue;
       for (const auto& [id, shared_ok] : contracts) {
@@ -1737,16 +1654,6 @@ const std::vector<std::string>* ProjectIndex::member_decl_type_ids(
   if (ci == member_type_ids_.end()) return nullptr;
   const auto mi = ci->second.find(member);
   return mi == ci->second.end() ? nullptr : &mi->second;
-}
-
-bool ProjectIndex::blocking_ok_at(const std::string& path, int line) const {
-  const auto it = blocking_ok_.find(path);
-  return it != blocking_ok_.end() && it->second.count(line) != 0;
-}
-
-bool ProjectIndex::taint_ok_at(const std::string& path, int line) const {
-  const auto it = taint_ok_.find(path);
-  return it != taint_ok_.end() && it->second.count(line) != 0;
 }
 
 }  // namespace gptc::lint

@@ -210,7 +210,8 @@ struct LockEdgeWitness {
 class ProjectIndex {
  public:
   /// Pass 1 over one scanned file. Order of add_file calls does not affect
-  /// the index contents (all derived state is built in finalize()).
+  /// the index contents (all derived state is built in finalize()). The
+  /// index keeps a pointer to `file`, which must outlive it.
   void add_file(const ScannedFile& file);
 
   /// Builds the derived state: call-graph closures (sync-reaching, lock
@@ -304,15 +305,14 @@ class ProjectIndex {
   const std::vector<std::string>* member_decl_type_ids(
       const std::string& cls, const std::string& member) const;
 
-  /// True when `path`:`line` is covered by a `// blocking-ok:` escape.
-  bool blocking_ok_at(const std::string& path, int line) const;
-
-  /// True when `path`:`line` is covered by a `// taint-ok:` escape.
-  bool taint_ok_at(const std::string& path, int line) const;
+  /// The scanned file `path` was indexed from: its tokens and its escape
+  /// comments (ScannedFile::directive_at).
+  const ScannedFile& file(const std::string& path) const;
 
  private:
   friend class IndexBuilder;
 
+  std::map<std::string, const ScannedFile*> files_;  // path -> scan
   std::vector<FunctionInfo> functions_;
   std::vector<UnorderedMember> unordered_members_;
   std::vector<MutexMember> mutex_members_;
@@ -325,15 +325,6 @@ class ProjectIndex {
       member_type_ids_;
   /// class -> member -> resolved type ("!" = known non-project type).
   std::map<std::string, std::map<std::string, std::string>> member_types_;
-  /// path -> lines carrying a `// lint: lock-order-ok` directive.
-  std::map<std::string, std::set<int>> lock_order_ok_;
-  /// path -> lines covered by a guard-ok annotation (line + line-after, like
-  /// every other escape comment).
-  std::map<std::string, std::set<int>> guard_ok_;
-  /// path -> lines covered by blocking-ok / taint-ok escapes (same
-  /// own-line-covers-next-line convention as guard-ok).
-  std::map<std::string, std::set<int>> blocking_ok_;
-  std::map<std::string, std::set<int>> taint_ok_;
   /// class -> member -> normalized guard lock id, from guarded-by
   /// annotations on member declarations.
   std::map<std::string, std::map<std::string, std::string>> guarded_by_;

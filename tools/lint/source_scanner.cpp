@@ -1,7 +1,9 @@
 #include "source_scanner.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,6 +48,7 @@ void parse_directive(std::string_view body, int line,
          std::isspace(static_cast<unsigned char>(d.reason.back())))
     d.reason.pop_back();
   d.line = line;
+  d.covers_next = true;
   out.push_back(std::move(d));
 }
 
@@ -58,15 +61,12 @@ constexpr std::string_view kGuardTags[] = {
     "taint-ok:",   "blocking-ok:"};
 
 /// Scans a comment's text for a lint directive. `own_line` records whether
-/// the comment starts its own source line (see Directive::own_line).
+/// the comment starts its own source line (see Directive::covers_next).
 void check_comment(std::string_view comment, int line, bool own_line,
                    std::vector<Directive>& out) {
   const std::size_t pos = comment.find("lint:");
   if (pos != std::string_view::npos) {
-    const std::size_t before = out.size();
     parse_directive(comment.substr(pos + 5), line, out);
-    for (std::size_t i = before; i < out.size(); ++i)
-      out[i].own_line = own_line;
     return;
   }
   for (const std::string_view tag : kGuardTags) {
@@ -84,7 +84,7 @@ void check_comment(std::string_view comment, int line, bool own_line,
       --e;
     d.reason = std::string(rest.substr(b, e - b));
     d.line = line;
-    d.own_line = own_line;
+    d.covers_next = own_line;
     out.push_back(std::move(d));
     return;
   }
@@ -308,11 +308,38 @@ class Scanner {
 
 }  // namespace
 
-bool ScannedFile::allowed(std::string_view name, int line) const {
-  for (const Directive& d : directives) {
-    if (d.name == name && (d.line == line || d.line + 1 == line)) return true;
+bool is_expr_keyword(std::string_view s) {
+  static const std::set<std::string_view> kw = {
+      "return",  "co_return", "co_yield", "co_await", "throw",  "case",
+      "else",    "do",        "goto",     "new",      "delete", "sizeof",
+      "alignof", "typeid",    "not",      "and",      "or",     "xor",
+      "if",      "while",     "for",      "switch",   "catch",  "constexpr",
+      "static_assert",
+  };
+  return kw.count(s) != 0;
+}
+
+std::size_t find_matching(const Tokens& t, std::size_t open,
+                          std::string_view open_text,
+                          std::string_view close_text, std::size_t end) {
+  end = std::min(end, t.size());
+  int depth = 0;
+  for (std::size_t i = open; i < end; ++i) {
+    if (is_p(t[i], open_text)) ++depth;
+    else if (is_p(t[i], close_text) && --depth == 0) return i;
   }
-  return false;
+  return end;
+}
+
+const Directive* ScannedFile::directive_at(std::string_view name, int line,
+                                           int window,
+                                           bool need_reason) const {
+  for (const Directive& d : directives) {
+    if (d.name != name || d.line > line || line - d.line > window) continue;
+    if (need_reason && d.reason.empty()) continue;
+    if (d.line == line || d.covers_next) return &d;
+  }
+  return nullptr;
 }
 
 ScannedFile scan_source(std::string path, std::string_view text) {
