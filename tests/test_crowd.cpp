@@ -767,6 +767,25 @@ TEST_F(AnalyticsPins, SourceHistories) {
             "m=2000: [2,1]=4 [6,3]=2.5 [10,5]=3.25 [13,2]=5.5 [6,3]=3\n");
 }
 
+TEST_F(AnalyticsPins, SobolIndicesBits) {
+  sa::SobolOptions opts;
+  opts.base_samples = 256;
+  opts.bootstrap = 10;
+  const sa::SobolResult r =
+      repo_.query_sensitivity_analysis(meta(), /*seed=*/4, opts);
+  ASSERT_EQ(r.dim(), 2u);
+  // A near-flat pooled surrogate (see PredictOutputBits) gives estimator
+  // noise rather than meaningful indices; the pin is on the bits.
+  const double s1[] = {0x1.dad302dfe3d3p+1, 0x1.18f57c9366f24p-6};
+  const double st[] = {0x1.0495fa907addcp+0, 0x1.c2581a2df0a3p-17};
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(r.s1[i], s1[i]) << r.names[i] << " S1 = " << std::hexfloat
+                              << r.s1[i];
+    EXPECT_EQ(r.st[i], st[i]) << r.names[i] << " ST = " << std::hexfloat
+                              << r.st[i];
+  }
+}
+
 TEST_F(AnalyticsPins, VariabilitySummary) {
   EXPECT_EQ(repo_.query_variability_report(meta()).summary(),
             "2 repeated-measurement group(s), 1 noisy (relative MAD > 0.05), "
