@@ -127,6 +127,10 @@ bool generic_method_name(const std::string& base) {
   return kNames.count(base) != 0;
 }
 
+bool untrusted_edge(const Edge& e, const std::vector<FunctionInfo>& fns) {
+  return e.weak && generic_method_name(fns[e.to].base);
+}
+
 }  // namespace gptc::lint::dataflow
 
 // ---------------------------------------------------------------------------
@@ -177,14 +181,6 @@ const std::set<std::string> kFreeBlocking = {"write", "read",    "recv",
 /// condition_variable-typed owner).
 const std::set<std::string> kCvWait = {"wait", "wait_for", "wait_until"};
 
-/// True when fact propagation (blocking reachability, taint summaries)
-/// should refuse to cross this call edge: a name-only fallback binding to a
-/// std-container-colliding method name (see dataflow::generic_method_name).
-bool untrusted_edge(const dataflow::Edge& e,
-                    const std::vector<FunctionInfo>& fns) {
-  return e.weak && dataflow::generic_method_name(fns[e.to].base);
-}
-
 /// Candidate definitions per (function, call index) over the trusted edges
 /// of the resolved call graph — what a call site may bind to for R12's
 /// summaries and R13's transitive leg.
@@ -197,7 +193,7 @@ SiteCallees trusted_callees(const ProjectIndex& index) {
   SiteCallees out;
   for (std::size_t i = 0; i < fns.size(); ++i)
     for (const dataflow::Edge& e : g.out_edges(i))
-      if (!untrusted_edge(e, fns)) out[{i, e.site}].push_back(e.to);
+      if (!dataflow::untrusted_edge(e, fns)) out[{i, e.site}].push_back(e.to);
   return out;
 }
 
@@ -271,7 +267,7 @@ std::vector<Finding> blocking_findings(const ProjectIndex& index,
         }
         for (const dataflow::Edge& e : g.out_edges(i)) {
           if (fns[e.to].blocking_exempt || blocks[e.to].empty()) continue;
-          if (untrusted_edge(e, fns)) continue;
+          if (dataflow::untrusted_edge(e, fns)) continue;
           if (site_ok(fns[i], fns[i].calls[e.site])) continue;
           blocks[i] = blocks[e.to];
           return true;
@@ -349,7 +345,7 @@ std::vector<Finding> blocking_findings(const ProjectIndex& index,
       snap_seed[i] = 1;
   }
   const auto cut = [&](const dataflow::Edge& e) {
-    return fns[e.to].blocking_exempt || untrusted_edge(e, fns) ||
+    return fns[e.to].blocking_exempt || dataflow::untrusted_edge(e, fns) ||
            site_ok(fns[e.from], fns[e.from].calls[e.site]);
   };
   const std::vector<char> snap = dataflow::reach_closure(g, snap_seed, cut);

@@ -38,6 +38,10 @@
 #include <string>
 #include <vector>
 
+namespace gptc::lint {
+struct FunctionInfo;
+}
+
 namespace gptc::lint::dataflow {
 
 /// One resolved call edge: function `from` makes its `site`-th call (index
@@ -124,5 +128,10 @@ std::vector<std::set<std::string>> set_closure(
 /// expensive facts (blocking reachability, taint, lock acquisition
 /// witnesses) should refuse to cross weak edges to these names.
 bool generic_method_name(const std::string& base);
+
+/// True when fact propagation (blocking reachability, taint summaries,
+/// lock sets) should refuse to cross this call edge: a weak edge to a
+/// definition in `fns` with a generic_method_name base.
+bool untrusted_edge(const Edge& e, const std::vector<FunctionInfo>& fns);
 
 }  // namespace gptc::lint::dataflow

@@ -1172,8 +1172,7 @@ void ProjectIndex::finalize() {
         // far more likely `v.insert(...)` on a container than a call into
         // the project method; letting its lock set cross the edge invents
         // acquires-while-holding witnesses out of thin air.
-        if (e.weak && dataflow::generic_method_name(functions_[e.to].base))
-          return std::string();
+        if (dataflow::untrusted_edge(e, functions_)) return std::string();
         return subst(functions_[e.to], functions_[e.from].calls[e.site], id);
       });
   lock_closure_.clear();
@@ -1226,15 +1225,19 @@ void ProjectIndex::finalize() {
                      "' is acquired",
                  l_ok || src.directive_at("lock-order-ok", m.line) != nullptr);
       }
-      for (const CallSite& c : fn.calls) {
-        if (c.token <= l.token || c.token >= l.scope_end) continue;
+      // The call graph holds each call site's candidates as consecutive
+      // out-edges, in call order.
+      const std::vector<dataflow::Edge>& edges = graph_.out_edges(i);
+      for (auto e = edges.begin(); e != edges.end();) {
+        const std::size_t site = e->site;
+        const CallSite& c = fn.calls[site];
         std::set<std::string> acquired;
-        bool weak = false;
-        for (std::size_t k : candidates(fn, c, &weak)) {
-          if (weak && dataflow::generic_method_name(functions_[k].base))
+        for (; e != edges.end() && e->site == site; ++e) {
+          if (c.token <= l.token || c.token >= l.scope_end ||
+              dataflow::untrusted_edge(*e, functions_))
             continue;
-          for (const std::string& id : locks[k])
-            acquired.insert(subst(functions_[k], c, id));
+          for (const std::string& id : locks[e->to])
+            acquired.insert(subst(functions_[e->to], c, id));
         }
         for (const std::string& id : acquired) {
           if (id == l.lock_id) continue;
