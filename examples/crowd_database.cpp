@@ -1,14 +1,17 @@
 // The crowd workflow (paper Secs. III & IV): users, API keys, automatic
 // environment parsing, uploads with access control, meta-description
-// queries, and the analytics utilities.
+// queries, and the analytics over the queried records (one query, one
+// surrogate fit).
 //
 //   $ ./crowd_database
 #include <cstdio>
 
 #include "apps/pdgeqrf.hpp"
 #include "core/tuner.hpp"
+#include "crowd/analytics.hpp"
 #include "crowd/envparse.hpp"
 #include "crowd/repo.hpp"
+#include "sa/sobol.hpp"
 
 using namespace gptc;
 
@@ -87,22 +90,25 @@ int main() {
   const auto records = repo.query_function_evaluations(meta);
   std::printf("Bob's query matched %zu records.\n", records.size());
 
-  // --- Analytics: surrogate, prediction, sensitivity ---------------------------
-  const auto surrogate = repo.query_surrogate_model(meta, /*seed=*/5);
+  // --- Analytics over those records: one surrogate, predict, sensitivity ------
+  const std::uint64_t seed = 5;
+  const auto surrogate = crowd::fit_surrogate(records, meta, seed);
   const space::Config candidate = {
       space::Value(std::int64_t{8}), space::Value(std::int64_t{8}),
       space::Value(std::int64_t{5}), space::Value(std::int64_t{16})};
-  std::printf("QueryPredictOutput(mb=8,nb=8,lg2npernode=5,p=16) = %.3f s\n",
-              repo.query_predict_output(meta, candidate, /*seed=*/5));
+  std::printf(
+      "QueryPredictOutput(mb=8,nb=8,lg2npernode=5,p=16) = %.3f s\n",
+      surrogate->predict(meta.parameter_space.encode(candidate)).mean);
 
   sa::SobolOptions sa_options;
   sa_options.base_samples = 256;
-  const sa::SobolResult sens =
-      repo.query_sensitivity_analysis(meta, /*seed=*/5, sa_options);
+  rng::Rng sa_rng(rng::splitmix64(seed + 0x51ab1edULL));
+  const sa::SobolResult sens = sa::analyze_surrogate(
+      *surrogate, meta.parameter_space, sa_rng, sa_options);
   std::printf("\nQuerySensitivityAnalysis:\n%s", sens.to_table().c_str());
 
   // --- Crowd data feeds a transfer-learning run --------------------------------
-  const auto sources = repo.query_source_histories(meta);
+  const auto sources = crowd::source_histories(records, meta);
   core::TunerOptions options;
   options.budget = 8;
   options.algorithm = core::TlaKind::EnsembleProposed;
@@ -113,6 +119,5 @@ int main() {
       core::Tuner(problem, options).tune(target_task, sources);
   std::printf("\nBob tunes m=n=12000 with the crowd's data: best %.3f s\n",
               result.best_output().value());
-  (void)surrogate;
   return 0;
 }

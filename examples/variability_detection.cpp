@@ -48,7 +48,7 @@ int main() {
   crowd::VariabilityOptions options;
   options.noisy_relative_mad = 0.05;
   const crowd::VariabilityReport report =
-      repo.query_variability_report(meta, options);
+      crowd::detect_variability(repo.query_function_evaluations(meta), options);
 
   std::printf("\n%s\n\n", report.summary().c_str());
   for (const auto& group : report.groups) {

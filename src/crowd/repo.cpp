@@ -49,6 +49,8 @@ EvalUpload EvalUpload::from_json(const Json& r) {
   e.tuning_parameters = r.get_or("tuning_parameters", Json::object());
   e.output_name = r.get_or("output_name", Json("runtime")).as_string();
   const Json out = r.get_or("output", Json(nullptr));
+  if (!out.is_number() && !out.is_null())
+    throw std::invalid_argument("output must be a number or null");
   e.output = out.is_number() ? out.as_double()
                              : std::numeric_limits<double>::quiet_NaN();
   e.machine_configuration = r.get_or("machine_configuration", Json::object());
@@ -682,100 +684,6 @@ std::size_t SharedRepo::num_records(const std::string& problem_name) const {
   Json q = Json::object();
   q["problem"] = problem_name;
   return evals->count(q);
-}
-
-namespace {
-
-/// A queried record as the analytics read it: its task and tuning
-/// configurations over the meta's spaces and its objective (NaN for a
-/// failed run).
-struct DecodedRecord {
-  const Json* task;  // the record's task_parameters, the grouping key
-  space::Config task_config, tuning_config;
-  double y;
-};
-
-/// nullopt when the record lacks a task/tuning parameter the meta declares.
-std::optional<DecodedRecord> decode_record(const Json& record,
-                                           const MetaDescription& meta) {
-  const Json* task = db::lookup_path(record, "task_parameters");
-  const Json* tuning = db::lookup_path(record, "tuning_parameters");
-  if (!task || !tuning) return std::nullopt;
-  try {
-    return DecodedRecord{task, meta.input_space.config_from_json(*task),
-                         meta.parameter_space.config_from_json(*tuning),
-                         stored_output(record)};
-  } catch (const json::JsonError&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
-gp::SurrogatePtr SharedRepo::query_surrogate_model(
-    const MetaDescription& meta, std::uint64_t seed,
-    const gp::LcmOptions& options) const {
-  // One ungrouped history in insertion order: valid_data keeps the finite
-  // outputs and encodes their configurations.
-  core::TaskHistory all;
-  for (const auto& r : query_function_evaluations(meta))
-    if (auto d = decode_record(r, meta))
-      all.add(std::move(d->tuning_config), d->y);
-  const core::TrainingData data = all.valid_data(meta.parameter_space);
-  if (data.size() < 2)
-    throw std::runtime_error(
-        "query_surrogate_model: fewer than 2 usable records match");
-  rng::Rng rng(rng::splitmix64(seed + 0x9e3779b9ULL));
-  return gp::fit_single_task(meta.parameter_space.dim(), {data.x, data.y},
-                             options, rng);
-}
-
-double SharedRepo::query_predict_output(const MetaDescription& meta,
-                                        const space::Config& params,
-                                        std::uint64_t seed) const {
-  const auto model = query_surrogate_model(meta, seed);
-  return model->predict(meta.parameter_space.encode(params)).mean;
-}
-
-sa::SobolResult SharedRepo::query_sensitivity_analysis(
-    const MetaDescription& meta, std::uint64_t seed,
-    const sa::SobolOptions& options) const {
-  const auto model = query_surrogate_model(meta, seed);
-  rng::Rng rng(rng::splitmix64(seed + 0x51ab1edULL));
-  return sa::analyze_surrogate(*model, meta.parameter_space, rng, options);
-}
-
-VariabilityReport SharedRepo::query_variability_report(
-    const MetaDescription& meta, const VariabilityOptions& options) const {
-  return detect_variability(query_function_evaluations(meta), options);
-}
-
-std::vector<core::TaskHistory> SharedRepo::query_source_histories(
-    const MetaDescription& meta) const {
-  // Group records by their task-parameter JSON (canonical dump).
-  std::vector<std::pair<std::string, core::TaskHistory>> groups;
-  for (const auto& r : query_function_evaluations(meta)) {
-    auto d = decode_record(r, meta);
-    if (!d) continue;
-    const std::string key = d->task->dump();
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const auto& g) { return g.first == key; });
-    if (it == groups.end()) {
-      groups.emplace_back(key, core::TaskHistory(std::move(d->task_config)));
-      it = std::prev(groups.end());
-    }
-    it->second.add(std::move(d->tuning_config), d->y);
-  }
-  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
-    return a.second.num_valid() > b.second.num_valid();
-  });
-  std::vector<core::TaskHistory> out;
-  out.reserve(groups.size());
-  for (auto& [key, h] : groups) {
-    (void)key;
-    out.push_back(std::move(h));
-  }
-  return out;
 }
 
 SharedRepo SharedRepo::open_durable(const std::filesystem::path& dir,

@@ -2,9 +2,10 @@
 //
 // Manages user accounts with API keys, per-record access control
 // (public / private / shared-with), tag-normalization databases for machine
-// and software names, the function-evaluation store, and the analytics
-// utilities of Sec. IV-B (QueryFunctionEvaluations, QuerySurrogateModel,
-// QueryPredictOutput, QuerySensitivityAnalysis).
+// and software names, and the function-evaluation store with its queries
+// (Sec. IV-B's QueryFunctionEvaluations, and SQL-like WHERE clauses). The
+// analytics of Sec. IV-B run over the records a query returns; see
+// crowd/analytics.hpp.
 //
 // The backing store is the JSON document store in src/db — the single-node
 // equivalent of the paper's MongoDB deployment. open_durable() is the one
@@ -26,14 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "core/history.hpp"
 #include "crowd/meta.hpp"
-#include "crowd/variability.hpp"
 #include "db/document_store.hpp"
-#include "gp/lcm.hpp"
 #include "rng/rng.hpp"
-#include "sa/sobol.hpp"
-#include "space/space.hpp"
 
 namespace gptc::crowd {
 
@@ -60,7 +56,9 @@ struct EvalUpload {
   /// Decodes one upload record in the wire / records-file shape
   /// ({"task_parameters": {...}, "output": 1.23, "output_name": ...}).
   /// Missing fields take defaults: output NaN (a failed run), output_name
-  /// "runtime", accessibility public, configurations empty objects.
+  /// "runtime", accessibility public, configurations empty objects. A null
+  /// output is a failed run too; an output that is neither a number nor
+  /// null throws std::invalid_argument.
   static EvalUpload from_json(const json::Json& r);
 
   /// Encodes the upload in that same shape (a NaN output as null): the
@@ -207,40 +205,6 @@ class SharedRepo {
 
   /// Total records for a problem (any visibility) — diagnostics.
   std::size_t num_records(const std::string& problem_name) const;
-
-  // --- Analytics utilities (Sec. IV-B) --------------------------------------
-
-  /// Fits a single-task GP (a one-task LCM) to the queried records' finite
-  /// outputs over meta.parameter_space, in insertion order; more than
-  /// options.max_samples_per_task records are randomly subsampled. Throws
-  /// std::runtime_error if fewer than 2 usable records match.
-  gp::SurrogatePtr query_surrogate_model(
-      const MetaDescription& meta, std::uint64_t seed = 0,
-      const gp::LcmOptions& options = {}) const;
-
-  /// Predicted output at one configuration (QueryPredictOutput).
-  double query_predict_output(const MetaDescription& meta,
-                              const space::Config& params,
-                              std::uint64_t seed = 0) const;
-
-  /// Sobol analysis of the surrogate (QuerySensitivityAnalysis).
-  sa::SobolResult query_sensitivity_analysis(
-      const MetaDescription& meta, std::uint64_t seed = 0,
-      const sa::SobolOptions& options = {}) const;
-
-  /// Variability diagnosis over the queried records (the paper's stated
-  /// future work, implemented here): repeated measurements of the same
-  /// configuration are grouped and checked for noise and outliers.
-  VariabilityReport query_variability_report(
-      const MetaDescription& meta,
-      const VariabilityOptions& options = {}) const;
-
-  /// Groups queried records into per-task histories for the Tuner's TLA
-  /// source input: one TaskHistory per distinct task-parameter combination
-  /// (failed runs included, as NaN), ordered by descending count of
-  /// successful runs.
-  std::vector<core::TaskHistory> query_source_histories(
-      const MetaDescription& meta) const;
 
   // --- Persistence -----------------------------------------------------------
 

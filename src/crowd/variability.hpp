@@ -72,7 +72,8 @@ double mad_of(const std::vector<double>& values, double median);
 /// groups by (task_parameters, tuning_parameters, machine_configuration,
 /// software_configuration), skipping failed (null-output) records. Each
 /// record's value is its stored_output(); the records should share one
-/// objective, as SharedRepo::query_variability_report's do.
+/// objective, as those of a query_function_evaluations call do (crowdctl's
+/// variability command splits a problem's records by objective first).
 VariabilityReport detect_variability(const std::vector<json::Json>& records,
                                      const VariabilityOptions& options = {});
 

@@ -276,8 +276,10 @@ CrowdServer::Reply CrowdServer::handle_upload(const json::Json& request) {
     try {
       evals.push_back(crowd::EvalUpload::from_json(r));
     } catch (const std::exception& e) {
+      // Named by 1-based position, as crowdctl's records-file errors are.
       return error_reply(ErrorCode::BadRequest,
-                         std::string("bad record: ") + e.what());
+                         "record " + std::to_string(evals.size() + 1) + ": " +
+                             e.what());
     }
   }
 

@@ -7,9 +7,12 @@
 #include <filesystem>
 #include <sstream>
 
+#include "crowd/analytics.hpp"
 #include "crowd/envparse.hpp"
 #include "crowd/meta.hpp"
 #include "crowd/repo.hpp"
+#include "crowd/variability.hpp"
+#include "sa/sobol.hpp"
 
 namespace gptc::crowd {
 namespace {
@@ -433,18 +436,19 @@ TEST_F(RepoTest, SurrogateAndPredictionUtilities) {
     repo_.upload_batch(alice_key_, "pdgeqrf",
                        {make_upload(mb, (mb - 8.0) * (mb - 8.0) + 1.0)});
   const MetaDescription m = base_meta(alice_key_);
-  const auto model = repo_.query_surrogate_model(m, /*seed=*/1);
+  const auto model =
+      fit_surrogate(repo_.query_function_evaluations(m), m, /*seed=*/1);
   ASSERT_NE(model, nullptr);
-  const double at8 = repo_.query_predict_output(
-      m, {Value(std::int64_t{8})}, /*seed=*/1);
-  const double at1 = repo_.query_predict_output(
-      m, {Value(std::int64_t{1})}, /*seed=*/1);
-  EXPECT_LT(at8, at1);  // surrogate learned the valley at mb=8
+  const auto predict = [&](std::int64_t mb) {
+    return model->predict(m.parameter_space.encode({Value(mb)})).mean;
+  };
+  EXPECT_LT(predict(8), predict(1));  // surrogate learned the valley at mb=8
 }
 
 TEST_F(RepoTest, SurrogateNeedsEnoughData) {
   repo_.upload_batch(alice_key_, "pdgeqrf", {make_upload(4, 1.0)});
-  EXPECT_THROW(repo_.query_surrogate_model(base_meta(alice_key_)),
+  const MetaDescription m = base_meta(alice_key_);
+  EXPECT_THROW(fit_surrogate(repo_.query_function_evaluations(m), m),
                std::runtime_error);
 }
 
@@ -457,8 +461,11 @@ TEST_F(RepoTest, SensitivityAnalysisRunsOnCrowdData) {
   }
   sa::SobolOptions opt;
   opt.base_samples = 128;
+  const MetaDescription m = base_meta(alice_key_);
+  const auto model = fit_surrogate(repo_.query_function_evaluations(m), m, 2);
+  rng::Rng rng(rng::splitmix64(2 + 0x51ab1edULL));
   const sa::SobolResult r =
-      repo_.query_sensitivity_analysis(base_meta(alice_key_), 2, opt);
+      sa::analyze_surrogate(*model, m.parameter_space, rng, opt);
   ASSERT_EQ(r.dim(), 1u);
   EXPECT_EQ(r.names[0], "mb");
   EXPECT_GT(r.st[0], 0.5);  // the only parameter carries all the variance
@@ -471,8 +478,9 @@ TEST_F(RepoTest, SourceHistoriesGroupByTask) {
   other_task.task_parameters = Json::parse(R"({"m":8000,"n":8000})");
   repo_.upload_batch(alice_key_, "pdgeqrf", {other_task});
 
+  const MetaDescription m = base_meta(alice_key_);
   const auto histories =
-      repo_.query_source_histories(base_meta(alice_key_));
+      source_histories(repo_.query_function_evaluations(m), m);
   ASSERT_EQ(histories.size(), 2u);
   // Ordered by descending sample count.
   EXPECT_EQ(histories[0].size(), 5u);
@@ -608,9 +616,19 @@ TEST(EvalUploadJson, MissingFieldsTakeWireDefaults) {
   EXPECT_EQ(f.accessibility.level, Accessibility::Level::Shared);
   ASSERT_EQ(f.accessibility.shared_with.size(), 1u);
   EXPECT_EQ(f.accessibility.shared_with[0], "bob");
-  // A null (or otherwise non-numeric) output is a failed run as well.
+  // A null output is a failed run as well.
   EXPECT_TRUE(std::isnan(
       EvalUpload::from_json(Json::parse(R"({"output":null})")).output));
+}
+
+TEST(EvalUploadJson, WronglyTypedOutputIsAnError) {
+  // A present output must be a number or null: a typo in an upload must
+  // not be stored as a failed run.
+  for (const char* output : {R"("x")", "true", "[1.5]", R"({"runtime":1})"}) {
+    const Json r = Json::parse(std::string(R"({"output":)") + output + "}");
+    EXPECT_THROW(EvalUpload::from_json(r), std::invalid_argument) << output;
+  }
+  EXPECT_EQ(EvalUpload::from_json(Json::parse(R"({"output":3})")).output, 3.0);
 }
 
 TEST(EvalUploadJson, ToJsonIsTheWireShapeAndFromJsonsInverse) {
@@ -734,6 +752,10 @@ class AnalyticsPins : public ::testing::Test {
     return m;
   }
 
+  std::vector<Json> records() const {
+    return repo_.query_function_evaluations(meta());
+  }
+
   SharedRepo repo_;
   std::string key_;
 };
@@ -742,17 +764,21 @@ TEST_F(AnalyticsPins, PredictOutputBits) {
   const std::pair<int, int> at[] = {{5, 4}, {1, 7}, {15, 1}};
   const double pinned[] = {0x1.7bf353ff4ae8dp+1, 0x1.7d05f25fa98b4p+1,
                            0x1.7dd0edc3aaed7p+1};
+  const auto model = fit_surrogate(records(), meta());
   for (std::size_t i = 0; i < 3; ++i) {
-    const double y = repo_.query_predict_output(
-        meta(), {Value(std::int64_t{at[i].first}),
-                 Value(std::int64_t{at[i].second})});
+    const double y =
+        model
+            ->predict(meta().parameter_space.encode(
+                {Value(std::int64_t{at[i].first}),
+                 Value(std::int64_t{at[i].second})}))
+            .mean;
     EXPECT_EQ(y, pinned[i]) << "point " << i << " = " << std::hexfloat << y;
   }
 }
 
 TEST_F(AnalyticsPins, SourceHistories) {
   std::ostringstream os;
-  for (const core::TaskHistory& h : repo_.query_source_histories(meta())) {
+  for (const core::TaskHistory& h : source_histories(records(), meta())) {
     os << "m=" << h.task()[0].dump() << ":";
     for (const core::EvalRecord& e : h.evals())
       os << " [" << e.params[0].dump() << "," << e.params[1].dump()
@@ -771,8 +797,11 @@ TEST_F(AnalyticsPins, SobolIndicesBits) {
   sa::SobolOptions opts;
   opts.base_samples = 256;
   opts.bootstrap = 10;
+  const std::uint64_t seed = 4;
+  const auto model = fit_surrogate(records(), meta(), seed);
+  rng::Rng rng(rng::splitmix64(seed + 0x51ab1edULL));
   const sa::SobolResult r =
-      repo_.query_sensitivity_analysis(meta(), /*seed=*/4, opts);
+      sa::analyze_surrogate(*model, meta().parameter_space, rng, opts);
   ASSERT_EQ(r.dim(), 2u);
   // A near-flat pooled surrogate (see PredictOutputBits) gives estimator
   // noise rather than meaningful indices; the pin is on the bits.
@@ -787,7 +816,7 @@ TEST_F(AnalyticsPins, SobolIndicesBits) {
 }
 
 TEST_F(AnalyticsPins, VariabilitySummary) {
-  EXPECT_EQ(repo_.query_variability_report(meta()).summary(),
+  EXPECT_EQ(detect_variability(records()).summary(),
             "2 repeated-measurement group(s), 1 noisy (relative MAD > 0.05), "
             "1 outlier record(s) (|z| > 3.5)");
 }
@@ -831,16 +860,18 @@ TEST(MixedObjectives, AnalyticsModelTheMetaObjectiveOnly) {
   };
   const MetaDescription mm = meta(mixed_key), rm = meta(runtime_key);
 
-  const auto a = mixed.query_surrogate_model(mm, 3);
-  const auto b = runtimes_only.query_surrogate_model(rm, 3);
+  const std::vector<Json> ra = mixed.query_function_evaluations(mm);
+  const std::vector<Json> rb = runtimes_only.query_function_evaluations(rm);
+  const auto a = fit_surrogate(ra, mm, 3);
+  const auto b = fit_surrogate(rb, rm, 3);
   for (const double u : {0.0, 0.3, 0.55, 1.0}) {
     const gp::Prediction pa = a->predict({u}), pb = b->predict({u});
     EXPECT_EQ(pa.mean, pb.mean) << "u = " << u;
     EXPECT_EQ(pa.variance, pb.variance) << "u = " << u;
   }
 
-  const auto ha = mixed.query_source_histories(mm);
-  const auto hb = runtimes_only.query_source_histories(rm);
+  const auto ha = source_histories(ra, mm);
+  const auto hb = source_histories(rb, rm);
   ASSERT_EQ(ha.size(), 1u);
   ASSERT_EQ(hb.size(), 1u);
   ASSERT_EQ(ha[0].size(), 12u);  // the failed energy run is not a runtime
@@ -849,8 +880,8 @@ TEST(MixedObjectives, AnalyticsModelTheMetaObjectiveOnly) {
     EXPECT_EQ(ha[0].evals()[i].params[0], hb[0].evals()[i].params[0]);
   }
 
-  const VariabilityReport va = mixed.query_variability_report(mm);
-  const VariabilityReport vb = runtimes_only.query_variability_report(rm);
+  const VariabilityReport va = detect_variability(ra);
+  const VariabilityReport vb = detect_variability(rb);
   ASSERT_EQ(va.groups.size(), 6u);
   ASSERT_EQ(vb.groups.size(), 6u);
   for (std::size_t g = 0; g < 6; ++g) {

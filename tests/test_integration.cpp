@@ -9,6 +9,7 @@
 
 #include "apps/pdgeqrf.hpp"
 #include "core/tuner.hpp"
+#include "crowd/analytics.hpp"
 #include "crowd/envparse.hpp"
 #include "crowd/repo.hpp"
 
@@ -102,7 +103,7 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
                 .as_string(),
             "Cori");
 
-  const auto sources = repo.query_source_histories(meta);
+  const auto sources = crowd::source_histories(records, meta);
   ASSERT_EQ(sources.size(), 1u);
   EXPECT_EQ(sources[0].num_valid(), 50u);
 
@@ -121,12 +122,14 @@ TEST_F(CrowdWorkflowTest, FullRoundTrip) {
   // --- Phase 3: Bob syncs his new evaluations back --------------------------
   upload_history(repo, bob_key, target_task, result.history);
   EXPECT_EQ(repo.num_records("pdgeqrf"), 56u);
-  const auto histories = repo.query_source_histories(make_meta(bob_key));
+  const crowd::MetaDescription synced = make_meta(bob_key);
+  const auto merged = repo.query_function_evaluations(synced);
+  const auto histories = crowd::source_histories(merged, synced);
   ASSERT_EQ(histories.size(), 2u);  // two tasks in the crowd now
   EXPECT_EQ(histories[0].num_valid(), 50u);
 
   // The surrogate utilities work on the merged crowd data.
-  const auto surrogate = repo.query_surrogate_model(make_meta(bob_key), 3);
+  const auto surrogate = crowd::fit_surrogate(merged, synced, 3);
   EXPECT_EQ(surrogate->dim(), problem_.param_space.dim());
 }
 

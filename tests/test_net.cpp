@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "crowd/analytics.hpp"
 #include "crowd/repo.hpp"
+#include "crowd/variability.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -507,6 +509,28 @@ TEST_F(NetTest, NonObjectAndUnknownOpAreBadRequests) {
   expect_alive();
 }
 
+TEST_F(NetTest, WronglyTypedOutputIsBadRequestNamingTheRecord) {
+  // The batch is decoded before any record is stored: a second record whose
+  // output is a string rejects the whole upload, named by its position.
+  start();
+  Socket sock = raw_connect();
+  Json req = Json::object();
+  req["op"] = "upload";
+  req["api_key"] = api_key_;
+  req["problem"] = "pdgeqrf";
+  req["records"] = Json::parse(
+      R"([{"tuning_parameters":{"mb":4},"output":1.5},)"
+      R"( {"tuning_parameters":{"mb":8},"output":"x"}])");
+  const std::string frame = encode_frame(req);
+  ASSERT_EQ(sock.send_all(frame.data(), frame.size()), IoStatus::Ok);
+  const Json response = read_frame(sock);
+  EXPECT_EQ(error_code_of(response), "bad_request");
+  EXPECT_EQ(response.at("error").at("message").as_string(),
+            "record 2: output must be a number or null");
+  EXPECT_EQ(repo_->num_records("pdgeqrf"), 0u);
+  expect_alive();
+}
+
 TEST_F(NetTest, BadWhereClauseIsBadRequest) {
   start();
   CrowdClient c = client();
@@ -593,6 +617,76 @@ TEST_F(NetTest, UploadsAreDurableOnAck) {
   crowd::SharedRepo reopened =
       crowd::SharedRepo::open_durable(dir_->path(), 7, eo);
   EXPECT_EQ(reopened.num_records("pdgeqrf"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Crowd analytics over the records a client pulls
+
+TEST_F(NetTest, RemoteAndLocalAnalyticsAgree) {
+  // Runtime and energy uploads share one problem. The analytics read the
+  // meta's objective from the records a remote query returns (both
+  // objectives) exactly as from a local meta query (runtimes only).
+  std::vector<crowd::EvalUpload> all;
+  for (int i = 0; i < 12; ++i) {
+    const int mb = 1 + i % 6;
+    crowd::EvalUpload r = make_eval(mb, 1.0 + 0.25 * (mb - 3) * (mb - 3) +
+                                            0.01 * i);
+    crowd::EvalUpload e = r;
+    e.output_name = "energy";
+    e.output = i == 7 ? std::numeric_limits<double>::quiet_NaN()
+                      : 1000.0 + 37.0 * mb + (i % 2 == 0 ? 400.0 : 0.0);
+    all.push_back(e);
+    all.push_back(r);
+  }
+  start();
+  CrowdClient c = client();
+  c.upload(api_key_, "p", all);
+
+  crowd::MetaDescription meta;
+  meta.api_key = api_key_;
+  meta.tuning_problem_name = "p";
+  meta.input_space = space::Space({space::Parameter::integer("m", 1, 5000)});
+  meta.parameter_space =
+      space::Space({space::Parameter::integer("mb", 1, 16)});
+  const std::vector<Json> local = repo_->query_function_evaluations(meta);
+  const std::vector<Json> remote = c.query(api_key_, "p", "");
+  ASSERT_EQ(local.size(), 12u);
+  ASSERT_EQ(remote.size(), 24u);
+
+  const auto a = crowd::fit_surrogate(remote, meta, 3);
+  const auto b = crowd::fit_surrogate(local, meta, 3);
+  for (const double u : {0.0, 0.3, 0.55, 1.0}) {
+    const gp::Prediction pa = a->predict({u}), pb = b->predict({u});
+    EXPECT_EQ(pa.mean, pb.mean) << "u = " << u;
+    EXPECT_EQ(pa.variance, pb.variance) << "u = " << u;
+  }
+
+  const auto ha = crowd::source_histories(remote, meta);
+  const auto hb = crowd::source_histories(local, meta);
+  ASSERT_EQ(ha.size(), 1u);
+  ASSERT_EQ(hb.size(), 1u);
+  ASSERT_EQ(ha[0].size(), 12u);  // the failed energy run is not a runtime
+  ASSERT_EQ(hb[0].size(), 12u);
+  EXPECT_EQ(ha[0].task(), hb[0].task());
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(ha[0].evals()[i].output, hb[0].evals()[i].output);
+    EXPECT_EQ(ha[0].evals()[i].params, hb[0].evals()[i].params);
+  }
+
+  // Variability groups by configuration, not objective: a remote caller
+  // pulls the objective's records with the WHERE clause.
+  const crowd::VariabilityReport va = crowd::detect_variability(
+      c.query(api_key_, "p", "output.runtime EXISTS"));
+  const crowd::VariabilityReport vb = crowd::detect_variability(local);
+  ASSERT_EQ(va.groups.size(), 6u);
+  ASSERT_EQ(vb.groups.size(), 6u);
+  for (std::size_t g = 0; g < 6; ++g) {
+    EXPECT_EQ(va.groups[g].key, vb.groups[g].key);
+    EXPECT_EQ(va.groups[g].record_ids, vb.groups[g].record_ids);
+    EXPECT_EQ(va.groups[g].outputs, vb.groups[g].outputs);
+    EXPECT_EQ(va.groups[g].outliers, vb.groups[g].outliers);
+  }
+  EXPECT_EQ(va.summary(), vb.summary());
 }
 
 // ---------------------------------------------------------------------------

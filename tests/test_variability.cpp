@@ -133,7 +133,8 @@ TEST(Variability, EndToEndThroughSharedRepo) {
   MetaDescription meta;
   meta.api_key = key;
   meta.tuning_problem_name = "demo";
-  const VariabilityReport report = repo.query_variability_report(meta);
+  const VariabilityReport report =
+      detect_variability(repo.query_function_evaluations(meta));
   ASSERT_EQ(report.groups.size(), 1u);
   EXPECT_EQ(report.total_outliers(), 1u);
 }
