@@ -3,7 +3,8 @@
 // directory command opens the repository on the storage engine, so what
 // one process registers or uploads must be there for the next. Also pins
 // the rejection of the removed --durable flag and the refusal of a
-// directory that only holds pre-engine JSON exports.
+// directory that only holds pre-engine JSON exports. The --remote cases
+// serve a directory in-process (net::CrowdServer on an ephemeral port).
 //
 // The binary path is injected by tests/CMakeLists.txt as GPTC_CROWDCTL_BIN.
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 #include <sstream>
 #include <string>
 
+#include "crowd/repo.hpp"
 #include "db/document_store.hpp"
+#include "net/server.hpp"
 
 namespace {
 
@@ -208,6 +211,58 @@ TEST(Crowdctl, VariabilityReportsEachUploadedObjective) {
   EXPECT_EQ(r.output.rfind("1 repeated-measurement group(s), ", 0), 0u)
       << r.output;
   EXPECT_EQ(r.output.find("objective"), std::string::npos) << r.output;
+}
+
+TEST(Crowdctl, VariabilityIsTheSameLocallyAndRemotely) {
+  // One code path reports on the records of one query, whether the
+  // directory or a server answered it: the bytes match.
+  TempDir dir("gptc_crowdctl_remote_variability");
+  const fs::path repo = dir.path() / "repo";
+  const fs::path records = dir.path() / "records.json";
+  {
+    std::ofstream out(records);
+    const char* sep = "[";
+    const auto row = [&](int mb, const char* y, const char* name) {
+      out << sep << R"({"task_parameters": {"m": 1000}, "tuning_parameters": )"
+          << R"({"mb": )" << mb << R"(}, "output": )" << y
+          << R"(, "output_name": ")" << name << R"("})";
+      sep = ", ";
+    };
+    for (const char* y : {"10.0", "10.2", "9.9", "10.1", "31.0"})
+      row(4, y, "runtime");
+    for (const char* y : {"2.0", "2.6", "1.5", "null"}) row(8, y, "runtime");
+    for (const char* y : {"100.0", "140.0", "70.0"}) row(4, y, "gflops");
+    out << "]";
+  }
+  RunResult r = crowdctl(repo.string() + " register alice alice@lab.gov");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::string key = key_from(r);
+  r = crowdctl(repo.string() + " upload " + key + " qr " + records.string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const RunResult local = crowdctl(repo.string() + " variability " + key +
+                                   " qr");
+  ASSERT_EQ(local.exit_code, 0) << local.output;
+  EXPECT_EQ(local.output.rfind("objective 'gflops': 1 repeated", 0), 0u)
+      << local.output;
+  EXPECT_NE(local.output.find("objective 'runtime': 2 repeated"),
+            std::string::npos)
+      << local.output;
+  EXPECT_NE(local.output.find("outliers=1"), std::string::npos)
+      << local.output;
+
+  gptc::crowd::SharedRepo served =
+      gptc::crowd::SharedRepo::open_durable(repo);
+  gptc::net::CrowdServer server(served, gptc::net::ServerOptions{});
+  server.start();
+  const std::string remote =
+      "--remote 127.0.0.1:" + std::to_string(server.port());
+  const RunResult over_wire =
+      crowdctl(remote + " variability " + key + " qr");
+  EXPECT_EQ(over_wire.exit_code, 0) << over_wire.output;
+  EXPECT_EQ(over_wire.output, local.output);
+  const RunResult bad_key = crowdctl(remote + " variability not-a-key qr");
+  EXPECT_NE(bad_key.exit_code, 0) << bad_key.output;
+  server.stop();
 }
 
 TEST(Crowdctl, ShardsOptionNeedsNoOtherFlag) {

@@ -18,6 +18,7 @@
 //   crowdctl --remote <host:port> upload <api-key> <problem> <records.json>
 //   crowdctl --remote <host:port> query <api-key> <problem> [<where-clause>]
 //   crowdctl --remote <host:port> explain <api-key> <problem> [<where-clause>]
+//   crowdctl --remote <host:port> variability <api-key> <problem>
 //   crowdctl --remote <host:port> health
 //   crowdctl --remote <host:port> stats
 //
@@ -39,14 +40,19 @@
 //     "software_configuration": {...}}, ...]
 // Every record is decoded before any is stored, and the file is uploaded as
 // one atomic batch, locally and with --remote alike.
+//
+// `variability` queries the problem's visible records once and reports on
+// each objective they name; with --remote the same code runs over the
+// records the server returns, so both print the same bytes.
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <set>
+#include <map>
 #include <sstream>
 
 #include "crowd/query_language.hpp"
 #include "crowd/repo.hpp"
+#include "crowd/variability.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 
@@ -66,10 +72,11 @@ int usage() {
       "                                       picked, selectivity estimates,\n"
       "                                       candidate counts), not records\n"
       "  stats <problem>                      record counts\n"
-      "  variability <api-key> <problem>      noise/outlier report\n"
+      "  variability <api-key> <problem>      noise/outlier report per\n"
+      "                                       objective\n"
       "  collections                          list stored collections\n"
       "  serve <port> [workers]               serve the repo over TCP\n"
-      "remote commands: upload, query, explain, health, stats\n"
+      "remote commands: upload, query, explain, variability, health, stats\n"
       "options:\n"
       "  --shards N   N shards (WALs) per collection; migrates the\n"
       "               directory if it holds a different count\n"
@@ -131,6 +138,36 @@ void print_plan(const Json& plan) {
             << total << " document(s)\n";
 }
 
+/// Prints one variability report per objective the records' outputs name,
+/// in sorted order. Only records of the default objective alone (or no
+/// records) keep the unlabelled one-report output.
+void print_variability(const std::vector<Json>& records) {
+  std::map<std::string, std::vector<Json>> by_objective;
+  for (const Json& r : records) {
+    const Json* output = db::lookup_path(r, "output");
+    if (output && output->is_object())
+      for (const auto& field : output->as_object())
+        by_objective[field.first].push_back(r);
+  }
+  const std::string fallback = crowd::MetaDescription().output_name;
+  if (by_objective.empty()) by_objective[fallback];
+  const bool label =
+      by_objective.size() > 1 || by_objective.begin()->first != fallback;
+  for (const auto& [objective, part] : by_objective) {
+    const crowd::VariabilityReport report = crowd::detect_variability(part);
+    if (label) std::cout << "objective '" << objective << "': ";
+    std::cout << report.summary() << "\n";
+    for (const auto& g : report.groups) {
+      if (g.outliers.empty() && !g.noisy(report.options.noisy_relative_mad))
+        continue;
+      std::cout << "  group median=" << g.median
+                << " relative_mad=" << g.relative_mad
+                << " repeats=" << g.outputs.size()
+                << " outliers=" << g.outliers.size() << "\n";
+    }
+  }
+}
+
 int run_remote(int argc, char** argv) {
   // argv: crowdctl --remote <host:port> <command> [args...]
   if (argc < 4) return usage();
@@ -176,6 +213,11 @@ int run_remote(int argc, char** argv) {
     if (argc != 6 && argc != 7) return usage();
     const std::string where = argc == 7 ? argv[6] : "";
     print_plan(client.explain(argv[4], argv[5], where));
+    return 0;
+  }
+  if (command == "variability") {
+    if (argc != 6) return usage();
+    print_variability(client.query(argv[4], argv[5], ""));
     return 0;
   }
   return usage();
@@ -267,7 +309,7 @@ int run(int argc, char** argv) {
               << "' registered; API key (shown once): " << key << "\n";
     return 0;
   }
-  // The API key of query/explain, authenticated once.
+  // The API key of query/explain/variability, authenticated once.
   const auto authed = [&] {
     auto user = repo.authenticate_user(argv[3]);
     if (!user) throw std::invalid_argument("invalid API key");
@@ -305,42 +347,7 @@ int run(int argc, char** argv) {
   }
   if (command == "variability") {
     if (argc != 5) return usage();
-    crowd::MetaDescription meta;
-    meta.api_key = argv[3];
-    meta.tuning_problem_name = argv[4];
-    // One report per objective the visible records name, in sorted order;
-    // a problem with no records reports on the default objective.
-    std::set<std::string> objectives;
-    repo.visit_where(authed(), meta.tuning_problem_name, "",
-                     [&](const Json& record) {
-                       if (record.contains("output") &&
-                           record.at("output").is_object())
-                         for (const auto& field :
-                              record.at("output").as_object())
-                           objectives.insert(field.first);
-                       return true;
-                     });
-    if (objectives.empty()) objectives.insert(meta.output_name);
-    // Only a problem holding the default objective alone keeps the
-    // unlabelled one-report output.
-    const bool label =
-        objectives.size() > 1 || *objectives.begin() != meta.output_name;
-    for (const std::string& objective : objectives) {
-      meta.output_name = objective;
-      const crowd::VariabilityReport report =
-          repo.query_variability_report(meta);
-      if (label) std::cout << "objective '" << objective << "': ";
-      std::cout << report.summary() << "\n";
-      for (const auto& g : report.groups) {
-        if (g.outliers.empty() &&
-            !g.noisy(report.options.noisy_relative_mad))
-          continue;
-        std::cout << "  group median=" << g.median
-                  << " relative_mad=" << g.relative_mad << " repeats="
-                  << g.outputs.size() << " outliers=" << g.outliers.size()
-                  << "\n";
-      }
-    }
+    print_variability(repo.query_where(authed(), argv[4], ""));
     return 0;
   }
   if (command == "collections") {
