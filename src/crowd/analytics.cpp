@@ -1,12 +1,10 @@
 #include "crowd/analytics.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
-#include "db/document_store.hpp"
-#include "rng/rng.hpp"
+#include "crowd/repo.hpp"
 
 namespace gptc::crowd {
 
@@ -29,15 +27,12 @@ std::optional<DecodedRecord> decode_record(const Json& record,
   const Json* output = db::lookup_path(record, "output");
   const Json* task = db::lookup_path(record, "task_parameters");
   const Json* tuning = db::lookup_path(record, "tuning_parameters");
-  if (!output || !output->is_object() || !output->contains(meta.output_name) ||
-      !task || !tuning)
+  if (!output || !output->contains(meta.output_name) || !task || !tuning)
     return std::nullopt;
-  const Json& out = output->at(meta.output_name);
-  const double y = out.is_number() ? out.as_double()
-                                   : std::numeric_limits<double>::quiet_NaN();
   try {
     return DecodedRecord{task, meta.input_space.config_from_json(*task),
-                         meta.parameter_space.config_from_json(*tuning), y};
+                         meta.parameter_space.config_from_json(*tuning),
+                         stored_output(record)};
   } catch (const json::JsonError&) {
     return std::nullopt;
   }

@@ -1225,19 +1225,15 @@ void ProjectIndex::finalize() {
                      "' is acquired",
                  l_ok || src.directive_at("lock-order-ok", m.line) != nullptr);
       }
-      // The call graph holds each call site's candidates as consecutive
-      // out-edges, in call order.
-      const std::vector<dataflow::Edge>& edges = graph_.out_edges(i);
-      for (auto e = edges.begin(); e != edges.end();) {
-        const std::size_t site = e->site;
-        const CallSite& c = fn.calls[site];
+      for (std::size_t ci = 0; ci < fn.calls.size(); ++ci) {
+        const CallSite& c = fn.calls[ci];
+        if (c.token <= l.token || c.token >= l.scope_end) continue;
         std::set<std::string> acquired;
-        for (; e != edges.end() && e->site == site; ++e) {
-          if (c.token <= l.token || c.token >= l.scope_end ||
-              dataflow::untrusted_edge(*e, functions_))
+        for (const dataflow::Edge& e : graph_.out_edges(i)) {
+          if (e.site != ci || dataflow::untrusted_edge(e, functions_))
             continue;
-          for (const std::string& id : locks[e->to])
-            acquired.insert(subst(functions_[e->to], c, id));
+          for (const std::string& id : locks[e.to])
+            acquired.insert(subst(functions_[e.to], c, id));
         }
         for (const std::string& id : acquired) {
           if (id == l.lock_id) continue;
