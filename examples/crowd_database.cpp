@@ -90,7 +90,7 @@ int main() {
   const auto records = repo.query_function_evaluations(meta);
   std::printf("Bob's query matched %zu records.\n", records.size());
 
-  // --- Analytics over those records: one surrogate, predict, sensitivity ------
+  // --- Analytics over those records: one fit, predict, sensitivity ----------
   const std::uint64_t seed = 5;
   const auto surrogate = crowd::fit_surrogate(records, meta, seed);
   const space::Config candidate = {
